@@ -18,7 +18,12 @@ Two adjustment modes:
                        candidates keep l_new. With no old_objects recorded
                        this degrades to the alpha = 0 behavior.
 
-In both modes the recorded per-candidate ``l_prior`` is the value actually
+Candidates are scored as arrays in the context distribution's token order:
+the contrast is one vector expression, and the winner is the
+lexicographically smallest token among those with the highest adjusted
+score. The per-candidate ``CandidateScore`` rows, sorted best first, are
+built only when the trace's candidates are read, with the same values. In
+both modes the recorded per-candidate ``l_prior`` is the value actually
 used, so ``adjusted = l_new - alpha * l_prior`` can be re-derived from any
 trace. When the selector accepts nothing, the query goes to the unedited
 model untouched; that fallback is what keeps unrelated queries stable.
@@ -30,7 +35,10 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Sequence
+
+import numpy as np
 
 from .errors import PipelineError, StorageError, ValidationError
 from .lm import TokenDistribution, greedy_answer
@@ -93,7 +101,7 @@ class DecodeTrace:
     mode: str
     first_token_convention: str
     fallback_used: bool
-    candidates: list[CandidateScore] = field(default_factory=list)
+    candidates: Sequence[CandidateScore] = field(default_factory=list)
     chosen_first_token: str = ""
     final_answer: str = ""
 
@@ -143,25 +151,62 @@ def prior_distributions(lm, facts: Sequence[EditFact]) -> list[TokenDistribution
     return [lm.next_token_distribution(fact.prompt) for fact in facts]
 
 
-def prior_logprob(
-    lm,
-    token: str,
-    facts: Sequence[EditFact],
-    floor: float = DEFAULT_FLOOR_LOGPROB,
-) -> float:
-    """Mean log-probability of ``token`` across the facts' own prompts.
+def _mean_prior(
+    dists: Sequence[TokenDistribution], tokens: list[str], floor: float
+) -> np.ndarray:
+    """Mean log-probability of each token across the prior distributions.
 
     Tokens a distribution does not carry score the floor, which bounds the
-    penalty instead of letting a single missing token dominate.
+    penalty instead of letting a single missing token dominate. Several
+    distributions are averaged per token with ``math.fsum``, which rounds
+    the sum exactly, so the mean does not depend on the order of the facts.
     """
-    if not facts:
-        raise ValidationError("prior needs at least one fact")
-    dists = prior_distributions(lm, facts)
-    return math.fsum(d.logprob(token, floor) for d in dists) / len(dists)
+    rows = [list(map(d.entries.get, tokens, repeat(floor))) for d in dists]
+    if len(rows) == 1:
+        # The fsum of one value is that value, except -0.0, which it makes 0.0.
+        return np.array(rows[0], dtype=float) + 0.0
+    n = len(rows)
+    return np.fromiter((math.fsum(col) / n for col in zip(*rows)), float, count=len(tokens))
 
 
-def _mean_logprob(dists: Sequence[TokenDistribution], token: str, floor: float) -> float:
-    return math.fsum(d.logprob(token, floor) for d in dists) / len(dists)
+class Candidates(Sequence[CandidateScore]):
+    """Scored first-token candidates, best first.
+
+    Scores are kept as arrays in the context distribution's token order; the
+    ``CandidateScore`` rows, sorted by ``(-adjusted, token)``, are built the
+    first time the sequence is read, so an answer whose trace nobody reads
+    never pays for them. ``len`` does not build them.
+    """
+
+    def __init__(
+        self, tokens: list[str], l_new: np.ndarray, l_prior: np.ndarray, adjusted: np.ndarray
+    ):
+        self._columns = (tokens, l_new, l_prior, adjusted)
+        self._rows: list[CandidateScore] | None = None
+
+    def _sorted(self) -> list[CandidateScore]:
+        if self._rows is None:
+            tokens, l_new, l_prior, adjusted = self._columns
+            rows = list(
+                map(CandidateScore, tokens, l_new.tolist(), l_prior.tolist(), adjusted.tolist())
+            )
+            rows.sort(key=lambda c: (-c.adjusted, c.token))
+            self._rows = rows
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        return self._sorted()[index]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Candidates):
+            other = other._sorted()
+        return self._sorted() == other if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self._sorted())
 
 
 def adjusted_first_token(
@@ -169,7 +214,7 @@ def adjusted_first_token(
     facts: Sequence[EditFact],
     query: str,
     plan: DecodePlan,
-) -> tuple[str, str, list[CandidateScore]]:
+) -> tuple[str, str, Candidates]:
     """Score every candidate first token and pick the best adjusted one.
 
     Returns (chosen_token, context, candidates). Candidates are every token
@@ -181,30 +226,24 @@ def adjusted_first_token(
         raise ValidationError("adjustment needs at least one selected fact")
     context = build_context(facts, query, plan.instruction_template)
     new_dist = lm.next_token_distribution(context)
+    tokens = list(new_dist.entries)
+    l_new = np.fromiter(new_dist.entries.values(), dtype=float, count=len(tokens))
     floor = plan.floor_logprob
     if plan.mode == CONTRAST_FULL:
-        dists = prior_distributions(lm, facts)
-        priors = {t: _mean_logprob(dists, t, floor) for t in new_dist.entries}
+        l_prior = _mean_prior(prior_distributions(lm, facts), tokens, floor)
     else:
         carriers = [f for f in facts if f.old_object]
-        priors = {t: 0.0 for t in new_dist.entries}
+        l_prior = np.zeros(len(tokens))
         if carriers:
             dists = prior_distributions(lm, carriers)
-            for fact in carriers:
-                token = lm.first_token_of(fact.old_object)
-                if token in priors:
-                    priors[token] = abs(_mean_logprob(dists, token, floor))
-    candidates = [
-        CandidateScore(
-            token=token,
-            l_new=l_new,
-            l_prior=priors[token],
-            adjusted=l_new - plan.alpha * priors[token],
-        )
-        for token, l_new in new_dist.entries.items()
-    ]
-    candidates.sort(key=lambda c: (-c.adjusted, c.token))
-    return candidates[0].token, context, candidates
+            targets = [lm.first_token_of(f.old_object) for f in carriers]
+            hits = [t for t in targets if t in new_dist.entries]
+            for token, prior in zip(hits, _mean_prior(dists, hits, floor)):
+                l_prior[tokens.index(token)] = abs(prior)
+    adjusted = l_new - plan.alpha * l_prior
+    best = np.flatnonzero(adjusted == adjusted.max())
+    chosen = min(tokens[i] for i in best)
+    return chosen, context, Candidates(tokens, l_new, l_prior, adjusted)
 
 
 def answer(

@@ -43,7 +43,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Mapping, Sequence
 
 import requests
@@ -222,29 +222,29 @@ def save_toy_spec(spec: ToyLmSpec, path: str | os.PathLike[str]) -> None:
         raise StorageError(f"could not write {os.fspath(path)}: {exc}") from exc
 
 
-class ToyLM:
-    """Deterministic table-driven model implementing the backend interface."""
+class _ToyTables:
+    """A toy spec's lookup tables and the model arithmetic over them.
 
-    first_token_convention = "whitespace"
+    ToyLM's caches wrap these methods, not its own: a cache holding the
+    ToyLM would form a cycle, freed only when the cycle collector runs.
+    """
 
     def __init__(self, spec: ToyLmSpec):
         self.spec = spec
-        self._vocab_by_lower = {t.lower(): t for t in spec.vocabulary}
-        self._rules_lower = [
+        self.vocab_by_lower = {t.lower(): t for t in spec.vocabulary}
+        self.rules_lower = [
             (r.subject.lower(), tuple(k.lower() for k in r.keywords)) for r in spec.rules
         ]
-        self._priors: dict[int, dict[str, float]] = {}
-        self._dist_cached = lru_cache(maxsize=65536)(self._distribution)
-        self._match_cached = lru_cache(maxsize=65536)(self._match_rule)
+        self.priors: dict[int, dict[str, float]] = {}
 
-    def _match_rule(self, tail_lower: str) -> int | None:
-        for index, (subject, keywords) in enumerate(self._rules_lower):
+    def match_rule(self, tail_lower: str) -> int | None:
+        for index, (subject, keywords) in enumerate(self.rules_lower):
             if subject in tail_lower and any(k in tail_lower for k in keywords):
                 return index
         return None
 
-    def _rule_prior(self, index: int) -> dict[str, float]:
-        if index not in self._priors:
+    def rule_prior(self, index: int) -> dict[str, float]:
+        if index not in self.priors:
             rule = self.spec.rules[index]
             probs: dict[str, float] = {
                 t: p for t, p in rule.answers.items() if t != RESIDUAL_KEY and p > 0
@@ -255,10 +255,10 @@ class ToyLM:
                 share = residual / len(rest)
                 for token in rest:
                     probs[token] = share
-            self._priors[index] = probs
-        return self._priors[index]
+            self.priors[index] = probs
+        return self.priors[index]
 
-    def _asserted_answer(self, lines: tuple[str, ...], subject_lower: str) -> str | None:
+    def asserted_answer(self, lines: tuple[str, ...], subject_lower: str) -> str | None:
         """Asserted answer from the first earlier line naming the subject and a vocab token."""
         for line in lines:
             lowered = line.lower()
@@ -266,29 +266,24 @@ class ToyLM:
                 continue
             asserted = None
             for word in _WORD_RE.findall(lowered):
-                if word in self._vocab_by_lower:
-                    asserted = self._vocab_by_lower[word]
+                if word in self.vocab_by_lower:
+                    asserted = self.vocab_by_lower[word]
             if asserted is not None:
                 return asserted
         return None
 
-    def next_token_distribution(self, prompt: str) -> TokenDistribution:
-        if not prompt or not prompt.strip():
-            raise ValidationError("prompt must be non-empty")
-        return self._dist_cached(prompt)
-
-    def _distribution(self, prompt: str) -> TokenDistribution:
+    def distribution(self, match_rule, prompt: str) -> TokenDistribution:
         lines = [line for line in prompt.split("\n") if line.strip()]
         tail = lines[-1]
-        rule_index = self._match_cached(tail.lower())
+        rule_index = match_rule(tail.lower())
         if rule_index is None:
             uniform = math.log(1.0 / len(self.spec.vocabulary))
             return TokenDistribution(
                 entries={t: uniform for t in self.spec.vocabulary}, complete=True
             )
-        prior = self._rule_prior(rule_index)
-        subject_lower = self._rules_lower[rule_index][0]
-        asserted = self._asserted_answer(tuple(lines[:-1]), subject_lower)
+        prior = self.rule_prior(rule_index)
+        subject_lower = self.rules_lower[rule_index][0]
+        asserted = self.asserted_answer(tuple(lines[:-1]), subject_lower)
         beta = self.spec.beta
         if asserted is None or beta == 0.0:
             probs = prior
@@ -297,6 +292,23 @@ class ToyLM:
             probs[asserted] = probs.get(asserted, 0.0) + beta
         entries = {t: math.log(p) for t, p in probs.items() if p > 0}
         return TokenDistribution(entries=entries, complete=True)
+
+
+class ToyLM:
+    """Deterministic table-driven model implementing the backend interface."""
+
+    first_token_convention = "whitespace"
+
+    def __init__(self, spec: ToyLmSpec):
+        self.spec = spec
+        tables = _ToyTables(spec)
+        match_rule = lru_cache(maxsize=65536)(tables.match_rule)
+        self._dist_cached = lru_cache(maxsize=65536)(partial(tables.distribution, match_rule))
+
+    def next_token_distribution(self, prompt: str) -> TokenDistribution:
+        if not prompt or not prompt.strip():
+            raise ValidationError("prompt must be non-empty")
+        return self._dist_cached(prompt)
 
     def first_token_of(self, answer: str) -> str:
         parts = answer.split()

@@ -13,7 +13,7 @@ import hashlib
 import re
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import requests
@@ -36,6 +36,22 @@ def _bucket(feature: str, buckets: int) -> int:
     return int.from_bytes(digest, "big") % buckets
 
 
+def _embed(buckets: int, text: str) -> np.ndarray:
+    tokens = tokenize(text)
+    if not tokens:
+        raise ValidationError("text has no alphanumeric content to embed")
+    canonical = " ".join(tokens)
+    vec = np.zeros(buckets, dtype=np.float32)
+    for token in tokens:
+        vec[_bucket("w:" + token, buckets)] += 1.0
+    for i in range(len(canonical) - 2):
+        vec[_bucket("t:" + canonical[i : i + 3], buckets)] += 1.0
+    norm = float(np.linalg.norm(vec))
+    vec /= norm
+    vec.flags.writeable = False
+    return vec
+
+
 class HashedEmbedder:
     """Deterministic hashing embedder over word tokens and character trigrams.
 
@@ -47,8 +63,9 @@ class HashedEmbedder:
         if buckets < 1:
             raise ValidationError("buckets must be >= 1")
         self.buckets = buckets
-        # Same text always hashes to the same vector, so memoize.
-        self._embed_cached = lru_cache(maxsize=65536)(self._embed)
+        # Same text always hashes to the same vector, so memoize. A cache over a
+        # bound method would hold the embedder in a cycle; this one does not.
+        self._embed_cached = lru_cache(maxsize=65536)(partial(_embed, buckets))
 
     @property
     def dim(self) -> int:
@@ -58,21 +75,6 @@ class HashedEmbedder:
         if not text or not text.strip():
             raise ValidationError("cannot embed empty text")
         return self._embed_cached(text)
-
-    def _embed(self, text: str) -> np.ndarray:
-        tokens = tokenize(text)
-        if not tokens:
-            raise ValidationError("text has no alphanumeric content to embed")
-        canonical = " ".join(tokens)
-        vec = np.zeros(self.buckets, dtype=np.float32)
-        for token in tokens:
-            vec[_bucket("w:" + token, self.buckets)] += 1.0
-        for i in range(len(canonical) - 2):
-            vec[_bucket("t:" + canonical[i : i + 3], self.buckets)] += 1.0
-        norm = float(np.linalg.norm(vec))
-        vec /= norm
-        vec.flags.writeable = False
-        return vec
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
         return np.stack([self.embed(t) for t in texts])

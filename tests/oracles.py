@@ -6,15 +6,22 @@ features (trigrams over the space-joined token string) with blake2b
 digest_size=8 taken big-endian modulo the bucket count, term-frequency
 weights, L2-normalized float32 (float32 is part of the contract, so the
 oracle uses it too; otherwise rank comparisons would hinge on rounding).
+
+The contrastive scorer oracle is the per-candidate dict-and-loop form of
+``decoding.adjusted_first_token``; the array scorer must reproduce its
+choice, candidate order and every float exactly.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import re
+from functools import lru_cache
 
 import numpy as np
 
+from factpatch.decoding import CONTRAST_FULL, CandidateScore, DecodePlan, build_context
 from factpatch.memory import EditFact, render_surface
 
 _WORDS = (
@@ -31,6 +38,9 @@ _RELATION_SHAPES = (
 )
 
 
+# Memoized because brute_force_top_ids re-embeds every fact for each query;
+# the vectors are read-only so callers cannot alter a shared result.
+@lru_cache(maxsize=8192)
 def oracle_embed(text: str, buckets: int) -> np.ndarray:
     tokens = re.findall(r"[a-z0-9]+", text.lower())
     assert tokens, "oracle cannot embed text without alphanumerics"
@@ -41,7 +51,9 @@ def oracle_embed(text: str, buckets: int) -> np.ndarray:
     for feature in features:
         digest = hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest()
         vec[int.from_bytes(digest, "big") % buckets] += 1.0
-    return vec / float(np.linalg.norm(vec))
+    vec = vec / float(np.linalg.norm(vec))
+    vec.flags.writeable = False
+    return vec
 
 
 def brute_force_top_ids(facts: list[EditFact], query: str, k: int, buckets: int) -> list[str]:
@@ -98,3 +110,39 @@ def random_facts(count: int, seed: int = 0, dup_rate: float = 0.05) -> list[Edit
             )
         )
     return facts
+
+
+def loop_adjusted_first_token(
+    lm, facts: list[EditFact], query: str, plan: DecodePlan
+) -> tuple[str, str, list[CandidateScore]]:
+    """Score each candidate token in a Python loop; sort by (-adjusted, token)."""
+    context = build_context(facts, query, plan.instruction_template)
+    new_dist = lm.next_token_distribution(context)
+    floor = plan.floor_logprob
+
+    def mean_logprob(dists, token):
+        return math.fsum(d.logprob(token, floor) for d in dists) / len(dists)
+
+    if plan.mode == CONTRAST_FULL:
+        dists = [lm.next_token_distribution(f.prompt) for f in facts]
+        priors = {t: mean_logprob(dists, t) for t in new_dist.entries}
+    else:
+        carriers = [f for f in facts if f.old_object]
+        priors = {t: 0.0 for t in new_dist.entries}
+        if carriers:
+            dists = [lm.next_token_distribution(f.prompt) for f in carriers]
+            for fact in carriers:
+                token = lm.first_token_of(fact.old_object)
+                if token in priors:
+                    priors[token] = abs(mean_logprob(dists, token))
+    candidates = [
+        CandidateScore(
+            token=token,
+            l_new=l_new,
+            l_prior=priors[token],
+            adjusted=l_new - plan.alpha * priors[token],
+        )
+        for token, l_new in new_dist.entries.items()
+    ]
+    candidates.sort(key=lambda c: (-c.adjusted, c.token))
+    return candidates[0].token, context, candidates

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from factpatch.decoding import (
     CONTRAST_FULL,
@@ -13,15 +15,15 @@ from factpatch.decoding import (
     answer,
     adjusted_first_token,
     build_context,
-    prior_logprob,
 )
 from factpatch.errors import PipelineError, ValidationError
-from factpatch.lm import ToyLM, ToyLmSpec, ToyRule, greedy_answer
+from factpatch.lm import ToyLM, ToyLmSpec, ToyRule, TokenDistribution, greedy_answer
 from factpatch.memory import EditFact, FactStore, render_surface
 from factpatch.retrieval import FactIndex, HashedEmbedder
 from factpatch.selector import ScorerParams
 
 from conftest import capitals_spec
+from oracles import loop_adjusted_first_token
 
 INSTR = "Use the statements above when answering the question below."
 
@@ -101,21 +103,40 @@ class TestBuildContext:
 
 
 class TestPriorLogprob:
+    """The ``l_prior`` that contrast-full records for each candidate."""
+
+    @staticmethod
+    def recorded_prior(lm, facts, token, plan=None):
+        plan = plan or DecodePlan(alpha=0.2, instruction_template=INSTR)
+        _, _, candidates = adjusted_first_token(lm, facts, "The capital of France is", plan)
+        return {c.token: c.l_prior for c in candidates}[token]
+
     def test_single_fact_prior(self, capitals_lm):
-        lp = prior_logprob(capitals_lm, "Paris", [capital_fact()])
+        lp = self.recorded_prior(capitals_lm, [capital_fact()], "Paris")
         assert lp == pytest.approx(math.log(0.9), abs=1e-12)
 
     def test_mean_over_facts(self, capitals_lm):
-        lp = prior_logprob(capitals_lm, "Paris", [capital_fact(), italy_fact()])
+        lp = self.recorded_prior(capitals_lm, [capital_fact(), italy_fact()], "Paris")
         assert lp == pytest.approx((math.log(0.9) + math.log(0.05)) / 2, abs=1e-12)
 
-    def test_missing_token_scores_the_floor(self, capitals_lm):
-        lp = prior_logprob(capitals_lm, "Zanzibar", [capital_fact()], floor=math.log(1e-6))
-        assert lp == pytest.approx(math.log(1e-6), abs=1e-12)
+    def test_missing_token_scores_the_floor(self):
+        # No residual mass: the bare prompt carries only Paris and Rome, while
+        # the asserted Lyon enters the context distribution.
+        spec = ToyLmSpec(
+            rules=(
+                ToyRule(subject="France", keywords=("capital",),
+                        answers={"Paris": 0.9, "Rome": 0.1}),
+            ),
+            vocabulary=("Paris", "Rome", "Lyon"),
+            beta=0.6,
+        )
+        plan = DecodePlan(alpha=0.2, instruction_template=INSTR, floor_logprob=math.log(1e-4))
+        lp = self.recorded_prior(ToyLM(spec), [capital_fact(new_object="Lyon")], "Lyon", plan)
+        assert lp == pytest.approx(math.log(1e-4), abs=1e-12)
 
     def test_no_facts_rejected(self, capitals_lm):
         with pytest.raises(ValidationError):
-            prior_logprob(capitals_lm, "Paris", [])
+            adjusted_first_token(capitals_lm, [], "The capital of France is", DecodePlan())
 
 
 class TestContrastFullArithmetic:
@@ -242,6 +263,121 @@ class TestTargetSuppress:
             plan,
         )
         assert all(c.l_prior == 0.0 for c in candidates)
+
+
+TOKEN_POOL = ("Ant", "ant", "be", "bee", "cat", "Dog", "eel", "elk", "fox", "yak")
+SUBJECTS = ("Alpha", "Bravo", "Charlie")
+QUERY_SUBJECTS = SUBJECTS + ("Delta",)  # Delta matches no rule: uniform distribution
+
+
+class TableLM:
+    """A remote-style model: truncated (incomplete) distributions from a table."""
+
+    first_token_convention = "whitespace"
+
+    def __init__(self, context_entries, prompt_entries):
+        self.context_entries = context_entries
+        self.prompt_entries = prompt_entries
+
+    def next_token_distribution(self, prompt):
+        entries = self.prompt_entries.get(prompt, self.context_entries)
+        ordered = dict(sorted(entries.items(), key=lambda kv: (-kv[1], kv[0])))
+        return TokenDistribution(entries=ordered, complete=False)
+
+    def first_token_of(self, answer):
+        return answer.split()[0]
+
+
+def prop_fact(seq, subject, old_object, new_object):
+    return EditFact(
+        fact_id=f"f{seq:06d}-prop",
+        seq=seq,
+        subject=subject,
+        relation="The capital of {s} is",
+        old_object=old_object,
+        new_object=new_object,
+        surface_text=render_surface(subject, "The capital of {s} is", new_object),
+    )
+
+
+@st.composite
+def selected_facts(draw, objects):
+    return [
+        prop_fact(
+            seq,
+            draw(st.sampled_from(QUERY_SUBJECTS)),
+            draw(st.sampled_from(objects + (None, "Quixote"))),
+            draw(st.sampled_from(objects)),
+        )
+        for seq in range(draw(st.integers(1, 3)))
+    ]
+
+
+@st.composite
+def toy_worlds(draw):
+    vocab = tuple(draw(st.lists(st.sampled_from(TOKEN_POOL), min_size=2, unique=True)))
+    rules = []
+    for subject in SUBJECTS[: draw(st.integers(1, len(SUBJECTS)))]:
+        # Small integer weights make equal probabilities, hence exact ties.
+        listed = draw(st.lists(st.sampled_from(vocab), min_size=1, unique=True))
+        weights = draw(st.lists(st.integers(1, 4), min_size=len(listed), max_size=len(listed)))
+        residual = draw(st.integers(0, 3)) if len(listed) < len(vocab) else 0
+        total = sum(weights) + residual
+        answers = {t: w / total for t, w in zip(listed, weights)}
+        if residual:
+            answers["*"] = residual / total
+        rules.append(ToyRule(subject=subject, keywords=("capital",), answers=answers))
+    beta = draw(st.sampled_from([0.0, 0.25, 0.6, 1.0]) | st.floats(0.0, 1.0))
+    lm = ToyLM(ToyLmSpec(rules=tuple(rules), vocabulary=vocab, beta=beta))
+    return lm, draw(selected_facts(vocab))
+
+
+@st.composite
+def table_worlds(draw):
+    logprobs = st.sampled_from([0.0, -0.0, -0.25, -1.0, -2.5, -9.0]) | st.floats(-30.0, 0.0)
+    entries = st.dictionaries(st.sampled_from(TOKEN_POOL), logprobs, min_size=1, max_size=6)
+    facts = draw(selected_facts(TOKEN_POOL))
+    prompt_entries = {f.prompt: draw(entries) for f in facts}
+    return TableLM(draw(entries), prompt_entries), facts
+
+
+class TestArrayScorerMatchesLoopReference:
+    """The array scorer against the dict-and-loop scorer in ``oracles``.
+
+    Covers both modes, exact ties, several selected facts, prior tokens
+    missing from a fact's distribution (the floor) and truncated remote-style
+    distributions. Order and every float must match bit for bit.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @example(  # a -0.0 prior: the loop's fsum records it as 0.0
+        world=(
+            TableLM({"Ant": -1.0}, {"The capital of Alpha is": {"Ant": -0.0}}),
+            [prop_fact(0, "Alpha", "Ant", "Ant")],
+        ),
+        query_subject="Alpha", alpha=0.0, mode=CONTRAST_FULL, floor=math.log(1e-6),
+    )
+    @given(
+        world=st.one_of(toy_worlds(), table_worlds()),
+        query_subject=st.sampled_from(QUERY_SUBJECTS),
+        alpha=st.sampled_from([0.0, 0.2, 1.0]) | st.floats(0.0, 3.0),
+        mode=st.sampled_from([CONTRAST_FULL, TARGET_SUPPRESS]),
+        floor=st.sampled_from([math.log(1e-6), -2.5, -0.25]),
+    )
+    def test_choice_and_candidates_are_identical(self, world, query_subject, alpha, mode, floor):
+        lm, facts = world
+        query = f"The capital of {query_subject} is"
+        plan = DecodePlan(alpha=alpha, mode=mode, floor_logprob=floor)
+        chosen, context, candidates = adjusted_first_token(lm, facts, query, plan)
+        want_chosen, want_context, want = loop_adjusted_first_token(lm, facts, query, plan)
+        assert (chosen, context) == (want_chosen, want_context)
+        assert len(candidates) == len(want)
+        assert candidates == want
+
+        def bits(rows):
+            return [(c.token, c.l_new.hex(), c.l_prior.hex(), c.adjusted.hex()) for c in rows]
+
+        assert bits(candidates) == bits(want)
 
 
 def build_pipeline(lm, facts):

@@ -1,6 +1,8 @@
 """Toy model semantics (rule matching, in-context blending) and the remote client."""
 
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -262,6 +264,18 @@ class TestToyLmAnswers:
     def test_greedy_answer_is_deterministic(self, capitals_lm):
         prompt = "What color is the sky"
         assert greedy_answer(capitals_lm, prompt, 8) == greedy_answer(capitals_lm, prompt, 8)
+
+    def test_discarded_model_is_freed_without_the_cycle_collector(self):
+        lm = ToyLM(capitals_spec())
+        lm.next_token_distribution("The capital of France is")
+        lm.next_token_distribution("What color is the sky")
+        ref = weakref.ref(lm)
+        gc.disable()
+        try:
+            del lm
+            assert ref() is None, "a cache holds the model in a reference cycle"
+        finally:
+            gc.enable()
 
 
 def completion(top_logprobs=None, tokens=None):

@@ -1,5 +1,8 @@
 """Embedder and index behavior, checked against an independent oracle."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -108,6 +111,18 @@ class TestHashedEmbedder:
     def test_dim_property(self):
         assert HashedEmbedder(buckets=128).dim == 128
         assert HashedEmbedder().dim == DEFAULT_BUCKETS
+
+    def test_discarded_embedder_is_freed_without_the_cycle_collector(self):
+        e = HashedEmbedder(buckets=64)
+        e.embed("amber falcon")
+        e.embed_batch(["vesper knoll", "amber falcon"])
+        ref = weakref.ref(e)
+        gc.disable()
+        try:
+            del e
+            assert ref() is None, "the embedding cache holds the embedder in a reference cycle"
+        finally:
+            gc.enable()
 
 
 class TestFactIndex:
