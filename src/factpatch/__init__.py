@@ -40,7 +40,7 @@ from .evalharness import (
     sweep,
 )
 from .lm import RemoteLM, TokenDistribution, ToyLM, ToyLmSpec, load_toy_spec
-from .memory import EditFact, FactStore, dedupe_latest, load_facts, save_facts
+from .memory import EditFact, FactStore, load_facts
 from .retrieval import FactIndex, HashedEmbedder, RemoteEmbedder
 from .selector import RemoteScorer, ScorerParams, select, train
 
@@ -77,7 +77,6 @@ __all__ = [
     "answer",
     "build_context",
     "build_engine",
-    "dedupe_latest",
     "load_cases",
     "load_config",
     "load_facts",
@@ -85,7 +84,6 @@ __all__ = [
     "match_answer",
     "record_baselines",
     "run_sequential",
-    "save_facts",
     "select",
     "sweep",
     "train",

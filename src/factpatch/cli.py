@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .engine import EngineConfig, build_engine, flatten_config
+from .engine import EngineConfig, build_engine, load_config, read_config
 from .errors import ConfigError, FactPatchError, ParseError, StorageError
 from .evalharness import (
     load_cases,
@@ -59,7 +59,6 @@ _ENGINE_FLAGS = {
     "mode": "mode",
     "max_answer_tokens": "max_answer_tokens",
     "instruction": "instruction_template",
-    "workers": "workers",
 }
 
 
@@ -84,32 +83,11 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=["contrast-full", "target-suppress"])
     parser.add_argument("--max-answer-tokens", type=int)
     parser.add_argument("--instruction", help="context instruction template")
-    parser.add_argument("--workers", type=int, help="concurrent query limit")
 
 
 def _resolve_config(args: argparse.Namespace) -> EngineConfig:
-    settings: dict = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except OSError as exc:
-            raise ConfigError(f"could not read {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"{args.config} is not valid JSON: {exc.msg} (line {exc.lineno})"
-            ) from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"{args.config} must contain a JSON object")
-        settings.update(flatten_config(data))
-    for flag, field in _ENGINE_FLAGS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            settings[field] = value
-    try:
-        return EngineConfig(**settings)
-    except TypeError as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
+    flags = {field: getattr(args, flag, None) for flag, field in _ENGINE_FLAGS.items()}
+    return load_config(args.config or None, **flags)
 
 
 def _fmt(value: float | None) -> str:
@@ -122,7 +100,7 @@ def _fmt(value: float | None) -> str:
 def _cmd_edit(args: argparse.Namespace) -> int:
     memory_path = args.memory
     if memory_path is None and args.config:
-        memory_path = _resolve_config_memory(args)
+        memory_path = read_config(args.config).get("memory_path")
     if not memory_path:
         raise ConfigError("edit needs a memory path (--memory or memory_path in --config)")
     store = FactStore(memory_path)
@@ -145,19 +123,6 @@ def _cmd_edit(args: argparse.Namespace) -> int:
     )
     print(f"added {fact.fact_id} (seq {fact.seq})")
     return 0
-
-
-def _resolve_config_memory(args: argparse.Namespace) -> str | None:
-    try:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"could not read {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.config} is not valid JSON: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{args.config} must contain a JSON object")
-    return flatten_config(data).get("memory_path")
 
 
 def _iter_import_payloads(path: str):
@@ -215,7 +180,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                 engine.k = value
             return engine
 
-        rows = sweep(values, cases, make_engine, baselines=baselines, workers=args.eval_workers)
+        rows = sweep(values, cases, make_engine, baselines=baselines)
         print(f"sweep over {args.sweep}:")
         for row in rows:
             if "error" in row:
@@ -233,9 +198,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
     engine = build_engine(config, in_memory=True)
     checkpoints = _parse_checkpoints(args.checkpoints, len(cases)) if args.checkpoints else None
-    report = run_sequential(
-        engine, cases, checkpoints=checkpoints, workers=args.eval_workers
-    )
+    report = run_sequential(engine, cases, checkpoints=checkpoints)
     print(f"cases       {report.cases}")
     print(f"reliability {_fmt(report.reliability)}")
     print(f"generality  {_fmt(report.generality)}")
@@ -314,7 +277,7 @@ def _cmd_train_selector(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     engine = build_engine(config)
-    server = make_server(engine, host=args.host, port=args.port, workers=config.workers)
+    server = make_server(engine, host=args.host, port=args.port)
     host, port = server.server_address[:2]
     print(f"listening on http://{host}:{port} (v{__version__})")
     try:
@@ -361,9 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out-dir", help="write summary.json and records.csv here")
     p_eval.add_argument("--sweep", choices=["alpha", "k"], help="sweep one parameter")
     p_eval.add_argument("--values", help="comma-separated sweep values")
-    p_eval.add_argument(
-        "--eval-workers", type=int, default=1, help="parallel query evaluation threads"
-    )
     _add_engine_flags(p_eval)
     p_eval.set_defaults(func=_cmd_eval)
 

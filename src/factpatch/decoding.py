@@ -43,7 +43,7 @@ import numpy as np
 from .errors import PipelineError, StorageError, ValidationError
 from .lm import TokenDistribution, greedy_answer
 from .memory import EditFact
-from .selector import ScorerParams, select
+from .selector import select
 
 CONTRAST_FULL = "contrast-full"
 TARGET_SUPPRESS = "target-suppress"
@@ -70,8 +70,8 @@ class DecodePlan:
     floor_logprob: float = DEFAULT_FLOOR_LOGPROB
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValidationError("alpha must be >= 0")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValidationError("alpha must be finite and >= 0")
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}")
         if self.max_answer_tokens < 1:
@@ -249,7 +249,7 @@ def adjusted_first_token(
 def answer(
     lm,
     index,
-    params: ScorerParams,
+    scorer,
     query: str,
     plan: DecodePlan | None = None,
     *,
@@ -258,14 +258,17 @@ def answer(
 ) -> tuple[str, DecodeTrace]:
     """Full pipeline: retrieve, select, adjust the first token, decode the answer.
 
-    ``k = 0`` skips retrieval entirely (used by parameter sweeps to measure
-    the unedited model). An empty selection falls back to the unedited
-    model's greedy answer for the bare query, byte for byte.
+    ``scorer`` is anything ``selector.select`` accepts. ``k = 0`` skips
+    retrieval entirely (used by parameter sweeps to measure the unedited
+    model); a negative ``k`` is rejected. An empty selection falls back to
+    the unedited model's greedy answer for the bare query, byte for byte.
     """
     if plan is None:
         plan = DecodePlan()
     if not query.strip():
         raise ValidationError("query must be non-empty")
+    if k < 0:
+        raise ValidationError("k must be >= 0")
 
     selected: list[EditFact] = []
     if k > 0:
@@ -276,10 +279,7 @@ def answer(
         except Exception as exc:
             raise PipelineError("retrieval", exc) from exc
         try:
-            if hasattr(params, "select"):
-                decisions = params.select(query, ranked, threshold)
-            else:
-                decisions = select(params, query, ranked, threshold)
+            decisions = select(scorer, query, ranked, threshold)
         except ValidationError:
             raise
         except Exception as exc:

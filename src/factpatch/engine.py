@@ -31,7 +31,6 @@ from .selector import (
 )
 
 DEFAULT_K = 5
-DEFAULT_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,6 @@ class EngineConfig:
     mode: str = CONTRAST_FULL
     max_answer_tokens: int = DEFAULT_MAX_ANSWER_TOKENS
     instruction_template: str = DEFAULT_INSTRUCTION
-    workers: int = DEFAULT_WORKERS
 
     def __post_init__(self) -> None:
         if self.retrieval_k < 1:
@@ -72,8 +70,6 @@ class EngineConfig:
             raise ConfigError("lm_url and lm_model are required for the remote lm")
         if not 0.0 < self.selector_threshold < 1.0:
             raise ConfigError("selector_threshold must lie strictly between 0 and 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         # alpha / mode / max_answer_tokens are validated by DecodePlan.
         self.decode_plan()
 
@@ -84,11 +80,6 @@ class EngineConfig:
             max_answer_tokens=self.max_answer_tokens,
             instruction_template=self.instruction_template,
         )
-
-    def with_overrides(self, **changes) -> "EngineConfig":
-        """Replace fields; None values mean "keep the current setting"."""
-        effective = {k: v for k, v in changes.items() if v is not None}
-        return dataclasses.replace(self, **effective)
 
 
 _SECTION_KEYS = {
@@ -103,7 +94,7 @@ _SECTION_KEYS = {
                "max_answer_tokens": "max_answer_tokens",
                "instruction_template": "instruction_template"},
 }
-_TOP_KEYS = {"memory_path", "workers"}
+_TOP_KEYS = {"memory_path"}
 
 
 def flatten_config(data: Mapping) -> dict:
@@ -125,14 +116,8 @@ def flatten_config(data: Mapping) -> dict:
     return kwargs
 
 
-def config_from_dict(data: Mapping) -> EngineConfig:
-    try:
-        return EngineConfig(**flatten_config(data))
-    except TypeError as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
-
-
-def load_config(path: str | os.PathLike[str]) -> EngineConfig:
+def read_config(path: str | os.PathLike[str]) -> dict:
+    """The EngineConfig fields a JSON config file sets, flattened."""
     path = os.fspath(path)
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -143,7 +128,17 @@ def load_config(path: str | os.PathLike[str]) -> EngineConfig:
         raise ConfigError(f"{path} is not valid JSON: {exc.msg} (line {exc.lineno})") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path} must contain a JSON object")
-    return config_from_dict(data)
+    return flatten_config(data)
+
+
+def load_config(path: str | os.PathLike[str] | None = None, **overrides) -> EngineConfig:
+    """Defaults, then the file at ``path``, then every override that is not None."""
+    settings = read_config(path) if path is not None else {}
+    settings.update((key, value) for key, value in overrides.items() if value is not None)
+    try:
+        return EngineConfig(**settings)
+    except TypeError as exc:
+        raise ConfigError(f"bad config value: {exc}") from exc
 
 
 class Engine:

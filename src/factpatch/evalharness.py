@@ -19,7 +19,6 @@ import json
 import logging
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -226,7 +225,6 @@ def _evaluate_prefix(
     engine,
     cases: Sequence[EvalCase],
     baselines: dict[str, str],
-    workers: int,
 ) -> list[QueryRecord]:
     jobs: list[tuple[str, str, str, str]] = []
     for case in cases:
@@ -262,9 +260,6 @@ def _evaluate_prefix(
             fallback_used=trace.fallback_used,
         )
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, jobs))
     return [run(job) for job in jobs]
 
 
@@ -284,7 +279,6 @@ def run_sequential(
     *,
     checkpoints: Sequence[int] | None = None,
     baselines: dict[str, str] | None = None,
-    workers: int = 1,
 ) -> EvalReport:
     """Apply every case's edit in order, then evaluate all queries.
 
@@ -310,12 +304,12 @@ def run_sequential(
     for position, case in enumerate(cases, start=1):
         engine.add_case_fact(case)
         if position in checkpoint_set:
-            records = _evaluate_prefix(engine, cases[:position], baselines, workers)
+            records = _evaluate_prefix(engine, cases[:position], baselines)
             curve.append(_metrics_from(records, position))
             if position == len(cases):
                 final_records = records
     if final_records is None:
-        final_records = _evaluate_prefix(engine, cases, baselines, workers)
+        final_records = _evaluate_prefix(engine, cases, baselines)
     final = _metrics_from(final_records, len(cases))
     return EvalReport(
         cases=len(cases),
@@ -334,7 +328,6 @@ def sweep(
     make_engine: Callable,
     *,
     baselines: dict[str, str] | None = None,
-    workers: int = 1,
 ) -> list[dict]:
     """One fresh sequential run per parameter value; failures do not stop the sweep."""
     rows: list[dict] = []
@@ -342,9 +335,7 @@ def sweep(
         row: dict = {"value": value}
         try:
             engine = make_engine(value)
-            report = run_sequential(
-                engine, cases, baselines=baselines, workers=workers
-            )
+            report = run_sequential(engine, cases, baselines=baselines)
             row.update(
                 reliability=report.reliability,
                 generality=report.generality,

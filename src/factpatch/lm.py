@@ -40,7 +40,6 @@ import logging
 import math
 import os
 import re
-import threading
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -356,7 +355,6 @@ class RemoteLM:
         backoff: float = 0.5,
         auth_token_env: str | None = None,
         logprob_base: str = "natural",
-        max_in_flight: int = 4,
         stop_tokens: Sequence[str] = ("\n", "</s>", "<|endoftext|>"),
         session: requests.Session | None = None,
     ):
@@ -375,7 +373,6 @@ class RemoteLM:
         self._auth_token = os.environ.get(auth_token_env) if auth_token_env else None
         if auth_token_env and self._auth_token is None:
             raise ConfigError(f"auth token environment variable {auth_token_env!r} is not set")
-        self._gate = threading.Semaphore(max_in_flight)
         self._stop_tokens = set(stop_tokens)
         self._session = session or requests.Session()
         self.first_token_convention = "endpoint-tokenizer"
@@ -388,10 +385,9 @@ class RemoteLM:
         last_status: int | None = None
         for attempt in range(1, self.retries + 1):
             try:
-                with self._gate:
-                    response = self._session.post(
-                        self.url, json=payload, headers=headers, timeout=self.timeout
-                    )
+                response = self._session.post(
+                    self.url, json=payload, headers=headers, timeout=self.timeout
+                )
             except requests.RequestException as exc:
                 last_exc = exc
                 logger.warning("model request attempt %d failed: %s", attempt, exc)

@@ -17,7 +17,7 @@ import json
 import os
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import ParseError, StorageError, ValidationError
 
@@ -90,31 +90,15 @@ class EditFact:
 
 @dataclass(frozen=True)
 class FactSet:
-    """An immutable snapshot of the store at some high-water sequence number."""
+    """An immutable snapshot of the store, in seq order."""
 
     facts: tuple[EditFact, ...]
-    high_water_seq: int
 
     def __len__(self) -> int:
         return len(self.facts)
 
     def __iter__(self) -> Iterator[EditFact]:
         return iter(self.facts)
-
-
-def dedupe_latest(facts: Iterable[EditFact]) -> list[EditFact]:
-    """Keep only the highest-seq fact per (subject, relation) key.
-
-    The relative order of survivors is preserved. Passing the result through
-    again is a no-op.
-    """
-    facts = list(facts)
-    newest: dict[tuple[str, str], int] = {}
-    for fact in facts:
-        key = (fact.subject, fact.relation)
-        if key not in newest or fact.seq > newest[key]:
-            newest[key] = fact.seq
-    return [f for f in facts if newest[(f.subject, f.relation)] == f.seq]
 
 
 class FactStore:
@@ -188,22 +172,7 @@ class FactStore:
     def snapshot(self) -> FactSet:
         with self._lock:
             facts = tuple(self._facts)
-        return FactSet(facts=facts, high_water_seq=len(facts) - 1)
-
-
-def save_facts(facts: Iterable[EditFact] | FactSet, path: str | os.PathLike[str]) -> int:
-    """Write facts as JSONL, replacing the file. Returns the number written."""
-    if isinstance(facts, FactSet):
-        facts = facts.facts
-    count = 0
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            for fact in facts:
-                handle.write(json.dumps(fact.to_dict(), ensure_ascii=False) + "\n")
-                count += 1
-    except OSError as exc:
-        raise StorageError(f"could not write {os.fspath(path)}: {exc}") from exc
-    return count
+        return FactSet(facts=facts)
 
 
 def load_facts(path: str | os.PathLike[str]) -> FactSet:
@@ -229,7 +198,7 @@ def load_facts(path: str | os.PathLike[str]) -> FactSet:
     if sorted(seqs) != list(range(len(facts))):
         raise ParseError("seq values are not a dense 0..N-1 range", path=path)
     facts.sort(key=lambda f: f.seq)
-    return FactSet(facts=tuple(facts), high_water_seq=len(facts) - 1)
+    return FactSet(facts=tuple(facts))
 
 
 def payload_from_dict(record: dict) -> dict:

@@ -67,17 +67,10 @@ class HashedEmbedder:
         # bound method would hold the embedder in a cycle; this one does not.
         self._embed_cached = lru_cache(maxsize=65536)(partial(_embed, buckets))
 
-    @property
-    def dim(self) -> int:
-        return self.buckets
-
     def embed(self, text: str) -> np.ndarray:
         if not text or not text.strip():
             raise ValidationError("cannot embed empty text")
         return self._embed_cached(text)
-
-    def embed_batch(self, texts: list[str]) -> np.ndarray:
-        return np.stack([self.embed(t) for t in texts])
 
 
 class RemoteEmbedder:
@@ -93,10 +86,6 @@ class RemoteEmbedder:
         self.timeout = timeout
         self._session = session or requests.Session()
         self._dim: int | None = None
-
-    @property
-    def dim(self) -> int | None:
-        return self._dim
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
         for text in texts:
@@ -173,10 +162,6 @@ class FactIndex:
                 self._rows.append(vector)
             self._facts[fact.fact_id] = fact
             self._matrix = None
-
-    def add_many(self, facts) -> None:
-        for fact in facts:
-            self.add(fact)
 
     def _refresh(self) -> None:
         if self._matrix is None:

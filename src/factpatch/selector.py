@@ -103,6 +103,9 @@ class ScorerParams:
     def untrained(cls, n_features: int = N_FEATURES) -> "ScorerParams":
         return cls(weights=np.zeros(n_features), bias=0.0)
 
+    def probabilities(self, query: str, facts: Sequence[EditFact]) -> list[float]:
+        return [score(self, query, fact) for fact in facts]
+
 
 def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
     # Clipping keeps the output strictly inside (0, 1) in float64.
@@ -131,27 +134,27 @@ class SelectionDecision:
 
 
 def select(
-    params: ScorerParams,
+    scorer,
     query: str,
     candidates: Sequence[ScoredFact | EditFact],
     threshold: float = DEFAULT_THRESHOLD,
 ) -> list[SelectionDecision]:
     """Score every candidate; selection requires probability strictly above threshold.
 
-    Decisions come back in candidate (retrieval) order, so the selected subset
-    preserves it too. A probability of exactly ``threshold`` is not selected:
-    untrained all-zero parameters score 0.5 everywhere and select nothing.
+    ``scorer`` is anything with ``probabilities(query, facts)``: trained
+    ``ScorerParams`` or a ``RemoteScorer``. Decisions come back in candidate
+    (retrieval) order, so the selected subset preserves it too. A
+    probability of exactly ``threshold`` is not selected: untrained all-zero
+    parameters score 0.5 everywhere and select nothing.
     """
     if not 0.0 < threshold < 1.0:
         raise ValidationError("threshold must be strictly between 0 and 1")
-    decisions = []
-    for candidate in candidates:
-        fact = candidate.fact if isinstance(candidate, ScoredFact) else candidate
-        probability = score(params, query, fact)
-        decisions.append(
-            SelectionDecision(fact=fact, probability=probability, selected=probability > threshold)
-        )
-    return decisions
+    facts = [c.fact if isinstance(c, ScoredFact) else c for c in candidates]
+    probs = scorer.probabilities(query, facts)
+    return [
+        SelectionDecision(fact=f, probability=p, selected=p > threshold)
+        for f, p in zip(facts, probs)
+    ]
 
 
 # ── training ──
@@ -364,18 +367,3 @@ class RemoteScorer:
         if not isinstance(probs, list) or len(probs) != len(facts):
             raise BackendError("scorer response does not align with request")
         return [float(p) for p in probs]
-
-    def select(
-        self,
-        query: str,
-        candidates: Sequence[ScoredFact | EditFact],
-        threshold: float = DEFAULT_THRESHOLD,
-    ) -> list[SelectionDecision]:
-        if not 0.0 < threshold < 1.0:
-            raise ValidationError("threshold must be strictly between 0 and 1")
-        facts = [c.fact if isinstance(c, ScoredFact) else c for c in candidates]
-        probs = self.probabilities(query, facts)
-        return [
-            SelectionDecision(fact=f, probability=p, selected=p > threshold)
-            for f, p in zip(facts, probs)
-        ]

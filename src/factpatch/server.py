@@ -7,15 +7,13 @@ Routes:
                   "trace"?}
     GET  /health  liveness and version
 
-Malformed requests get 400 with {"error": reason}. Query handling sits behind
-a semaphore so a flood of requests degrades to queueing, not thrashing.
+Malformed requests get 400 with {"error": reason}.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from . import __version__
@@ -31,10 +29,9 @@ MAX_BODY_BYTES = 10 * 1024 * 1024
 class ApiServer(ThreadingHTTPServer):
     daemon_threads = True
 
-    def __init__(self, address: tuple[str, int], engine: Engine, workers: int = 4) -> None:
+    def __init__(self, address: tuple[str, int], engine: Engine) -> None:
         super().__init__(address, ApiHandler)
         self.engine = engine
-        self.query_slots = threading.BoundedSemaphore(workers)
 
 
 class ApiHandler(BaseHTTPRequestHandler):
@@ -131,12 +128,11 @@ class ApiHandler(BaseHTTPRequestHandler):
                     self._send_error(400, f"{key} has the wrong type")
                     return
                 overrides[key] = body[key]
-        with self.server.query_slots:
-            try:
-                text, trace = self.server.engine.answer(body["query"], **overrides)
-            except FactPatchError as exc:
-                self._send_error(400, str(exc))
-                return
+        try:
+            text, trace = self.server.engine.answer(body["query"], **overrides)
+        except FactPatchError as exc:
+            self._send_error(400, str(exc))
+            return
         reply = {
             "answer": text,
             "fallback_used": trace.fallback_used,
@@ -147,8 +143,7 @@ class ApiHandler(BaseHTTPRequestHandler):
         self._send_json(200, reply)
 
 
-def make_server(engine: Engine, host: str = "127.0.0.1", port: int = 0,
-                workers: int = 4) -> ApiServer:
+def make_server(engine: Engine, host: str = "127.0.0.1", port: int = 0) -> ApiServer:
     """Bind and return the server; port 0 picks a free port. Call
     serve_forever() (or poke it from a thread in tests) to start handling."""
-    return ApiServer((host, port), engine, workers=workers)
+    return ApiServer((host, port), engine)

@@ -182,7 +182,8 @@ def test_criterion_03_retrieval_matches_brute_force():
     buckets = 512
     facts = random_facts(1000, seed=0, dup_rate=0.05)
     index = FactIndex(HashedEmbedder(buckets=buckets))
-    index.add_many(facts)
+    for fact in facts:
+        index.add(fact)
     rng = np.random.default_rng(1)
     queries = []
     for _ in range(100):
@@ -449,7 +450,7 @@ def test_criterion_11_serve_matches_cli(tmp_path, capsys):
     }), encoding="utf-8")
 
     engine = build_engine(load_config(config_path))
-    server = make_server(engine, host="127.0.0.1", port=0, workers=2)
+    server = make_server(engine, host="127.0.0.1", port=0)
     host, port = server.server_address[:2]
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

@@ -279,6 +279,40 @@ class TestAsk:
         assert code == 2
         assert "could not read" in err
 
+    def test_flags_complete_and_override_the_file_before_validation(
+        self, capsys, tmp_path, spec_path, gate_path
+    ):
+        # A decoy whose surface text is the query itself ranks first, and the
+        # gate rejects it (its subject is not in the query); France's fact
+        # ranks second, so only k >= 2 can select it.
+        memory = str(tmp_path / "facts.jsonl")
+        store = FactStore(memory)
+        store.append("Spain", CAPITAL_REL, "Lyon",
+                     surface_text="What is the capital of France?")
+        store.append("France", CAPITAL_REL, "Rome", old_object="Paris")
+        config = write_config(
+            tmp_path,
+            memory_path=memory,
+            retrieval={"k": 1, "buckets": 512},
+            selector={"params_path": gate_path},
+            lm={"kind": "toy"},
+        )
+        ask = ["ask", "What is the capital of France?", "--config", config]
+        code, _, err = run(capsys, ask)
+        assert code == 2
+        assert "lm_spec_path" in err
+        code, out, _ = run(capsys, ask + ["--lm-spec", spec_path])
+        assert (code, out.strip()) == (0, "Paris is the answer")
+        code, out, _ = run(capsys, ask + ["--lm-spec", spec_path, "--k", "2"])
+        assert (code, out.strip()) == (0, "Rome of course")
+
+    @pytest.mark.parametrize("flags", [["--k", "-1"], ["--alpha", "inf"], ["--alpha", "nan"]])
+    def test_negative_k_and_non_finite_alpha_exit_2(self, capsys, ask_config, flags):
+        code, _, err = run(capsys, ["ask", "What is the capital of France?",
+                                    "--config", ask_config, *flags])
+        assert code == 2
+        assert err.startswith("error:")
+
 
 @pytest.fixture
 def eval_setup(tmp_path):

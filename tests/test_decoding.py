@@ -20,10 +20,11 @@ from factpatch.errors import PipelineError, ValidationError
 from factpatch.lm import ToyLM, ToyLmSpec, ToyRule, TokenDistribution, greedy_answer
 from factpatch.memory import EditFact, FactStore, render_surface
 from factpatch.retrieval import FactIndex, HashedEmbedder
-from factpatch.selector import ScorerParams
+from factpatch.selector import RemoteScorer, ScorerParams
 
 from conftest import capitals_spec
 from oracles import loop_adjusted_first_token
+from stubserver import StubServer
 
 INSTR = "Use the statements above when answering the question below."
 
@@ -70,6 +71,8 @@ class TestDecodePlan:
             {"max_answer_tokens": 0},
             {"instruction_template": "  "},
             {"floor_logprob": 0.0},
+            {"alpha": math.inf},
+            {"alpha": math.nan},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
@@ -382,7 +385,8 @@ class TestArrayScorerMatchesLoopReference:
 
 def build_pipeline(lm, facts):
     index = FactIndex(HashedEmbedder(buckets=256))
-    index.add_many(facts)
+    for fact in facts:
+        index.add(fact)
     return index
 
 
@@ -432,6 +436,11 @@ class TestAnswerPipeline:
         assert text == "Paris is the answer"
         assert trace.fallback_used
 
+    def test_negative_k_is_a_validation_error(self, capitals_lm):
+        index = build_pipeline(capitals_lm, [capital_fact()])
+        with pytest.raises(ValidationError):
+            answer(capitals_lm, index, SUBJECT_HIT_PARAMS, "The capital of France is", k=-1)
+
     def test_retrieval_failure_is_tagged(self, capitals_lm):
         class BrokenIndex:
             def top_k(self, query, k):
@@ -445,7 +454,7 @@ class TestAnswerPipeline:
         index = build_pipeline(capitals_lm, [capital_fact()])
 
         class BrokenScorer:
-            def select(self, query, candidates, threshold):
+            def probabilities(self, query, facts):
                 raise RuntimeError("scorer service down")
 
         with pytest.raises(PipelineError) as err:
@@ -476,19 +485,38 @@ class TestAnswerPipeline:
             def __init__(self):
                 self.calls = 0
 
-            def select(self, query, candidates, threshold):
+            def probabilities(self, query, facts):
                 self.calls += 1
-                from factpatch.selector import SelectionDecision
-
-                return [
-                    SelectionDecision(fact=c.fact, probability=0.99, selected=True)
-                    for c in candidates
-                ]
+                return [0.99 for _ in facts]
 
         scorer = PickyScorer()
         text, trace = answer(capitals_lm, index, scorer, "The capital of France is")
         assert scorer.calls == 1
         assert not trace.fallback_used
+
+    def test_remote_scorer_end_to_end_thresholds_locally(self, capitals_lm):
+        france, italy = capital_fact(), italy_fact()
+        index = build_pipeline(capitals_lm, [france, italy])
+
+        def respond(path, body, hits):
+            # Italy's fact scores exactly the threshold, which does not select.
+            return 200, {"probabilities": [0.9 if f["subject"] == "France" else 0.5
+                                           for f in body["facts"]]}
+
+        query = "The capital of France is"
+        with StubServer(respond) as stub:
+            scorer = RemoteScorer(stub.url)
+            text, trace = answer(capitals_lm, index, scorer, query, threshold=0.5)
+            assert text == "Rome of course"
+            assert trace.selected_fact_ids == [france.fact_id]
+            sent = stub.requests[0][1]
+            assert sent["query"] == query
+            assert sorted(f["subject"] for f in sent["facts"]) == ["France", "Italy"]
+
+            text, trace = answer(capitals_lm, index, scorer, query, threshold=0.95)
+            assert text == "Paris is the answer"
+            assert trace.fallback_used
+            assert len(stub.requests) == 2
 
     def test_trace_saves_as_json(self, capitals_lm, tmp_path):
         index = build_pipeline(capitals_lm, [capital_fact()])

@@ -10,7 +10,6 @@ from factpatch.engine import (
     Engine,
     EngineConfig,
     build_engine,
-    config_from_dict,
     flatten_config,
     load_config,
 )
@@ -41,7 +40,6 @@ class TestEngineConfig:
         assert config.embedder == "builtin"
         assert config.mode == CONTRAST_FULL
         assert config.alpha == 0.2
-        assert config.workers == 4
 
     @pytest.mark.parametrize(
         "overrides",
@@ -51,7 +49,7 @@ class TestEngineConfig:
             {"embedder": "remote"},  # missing embedder_url
             {"selector_threshold": 0.0},
             {"selector_threshold": 1.0},
-            {"workers": 0},
+            {"alpha": float("nan")},
             {"alpha": -0.5},
             {"mode": "off"},
             {"max_answer_tokens": 0},
@@ -71,11 +69,11 @@ class TestEngineConfig:
         config = EngineConfig(lm_kind="remote", lm_url="http://x", lm_model="m")
         assert config.lm_model == "m"
 
-    def test_with_overrides_skips_none(self, spec_path):
+    def test_load_config_overrides_skip_none(self, spec_path):
         base = toy_config(spec_path)
-        same = base.with_overrides(alpha=None, retrieval_k=None)
+        same = load_config(lm_spec_path=str(spec_path), alpha=None, retrieval_k=None)
         assert same == base
-        changed = base.with_overrides(alpha=0.5, retrieval_k=9)
+        changed = load_config(lm_spec_path=str(spec_path), alpha=0.5, retrieval_k=9)
         assert changed.alpha == 0.5
         assert changed.retrieval_k == 9
         assert changed.lm_spec_path == base.lm_spec_path
@@ -86,7 +84,6 @@ class TestConfigFiles:
         flat = flatten_config(
             {
                 "memory_path": "m.jsonl",
-                "workers": 2,
                 "retrieval": {"k": 3, "buckets": 1024},
                 "selector": {"threshold": 0.7},
                 "lm": {"kind": "toy", "spec_path": "model.json"},
@@ -95,7 +92,6 @@ class TestConfigFiles:
         )
         assert flat == {
             "memory_path": "m.jsonl",
-            "workers": 2,
             "retrieval_k": 3,
             "embedder_buckets": 1024,
             "selector_threshold": 0.7,
@@ -147,7 +143,7 @@ class TestConfigFiles:
 
     def test_wrong_value_type_becomes_config_error(self):
         with pytest.raises(FactPatchError):
-            config_from_dict({"retrieval": {"k": "five"}, "lm": {"spec_path": "m.json"}})
+            load_config(retrieval_k="five", lm_spec_path="m.json")
 
 
 class TestBuildEngine:

@@ -261,12 +261,6 @@ class TestRunSequential:
         # Only that one rel query flipped relative to the clean run.
         assert abs(report.reliability - (FIXTURE_RELIABILITY - 1 / 8)) < 1e-9
 
-    def test_parallel_workers_give_identical_records(self):
-        spec, cases = eight_case_world()
-        serial = run_sequential(fixture_engine(spec), cases, workers=1)
-        threaded = run_sequential(fixture_engine(spec), cases, workers=4)
-        assert serial.records == threaded.records
-
 
 class TestReportFiles:
     def test_summary_json_shape(self, tmp_path):

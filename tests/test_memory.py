@@ -1,21 +1,17 @@
-"""Fact store behavior: append-only seq, surface rendering, dedup, persistence."""
+"""Fact store behavior: append-only seq, surface rendering, persistence."""
 
 import json
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from factpatch.errors import ParseError, StorageError, ValidationError
 from factpatch.memory import (
     EditFact,
     FactStore,
-    dedupe_latest,
     load_facts,
     payload_from_dict,
     render_prompt,
     render_surface,
-    save_facts,
 )
 
 
@@ -102,7 +98,6 @@ class TestSnapshot:
         snap = empty_store.snapshot()
         empty_store.append("Venus", "The color of {s} is", "jade")
         assert len(snap) == 1
-        assert snap.high_water_seq == 0
         assert [f.subject for f in snap] == ["Mercury"]
 
     def test_snapshots_grow_as_prefixes(self, empty_store):
@@ -112,37 +107,10 @@ class TestSnapshot:
         second = empty_store.snapshot()
         assert second.facts[: len(first)] == first.facts
 
-    def test_empty_snapshot_high_water(self, empty_store):
+    def test_empty_snapshot(self, empty_store):
         snap = empty_store.snapshot()
         assert len(snap) == 0
-        assert snap.high_water_seq == -1
-
-
-class TestDedupeLatest:
-    def test_latest_wins_per_key(self):
-        old = make_fact(0, new_object="amber")
-        new = make_fact(3, new_object="jade")
-        other = make_fact(1, subject="Venus")
-        survivors = dedupe_latest([old, other, new])
-        assert survivors == [other, new]
-
-    def test_disjoint_keys_unchanged(self):
-        facts = [make_fact(i, subject=f"S{i}") for i in range(4)]
-        assert dedupe_latest(facts) == facts
-
-    def test_empty_input(self):
-        assert dedupe_latest([]) == []
-
-    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=12))
-    def test_idempotent_and_unique_keys(self, pairs):
-        facts = [
-            make_fact(seq, subject=f"S{a}", relation=f"The r{b} of {{s}} is")
-            for seq, (a, b) in enumerate(pairs)
-        ]
-        once = dedupe_latest(facts)
-        assert dedupe_latest(once) == once
-        keys = [(f.subject, f.relation) for f in once]
-        assert len(keys) == len(set(keys))
+        assert list(snap) == []
 
 
 class TestPersistence:
@@ -164,14 +132,14 @@ class TestPersistence:
         assert len(reopened) == 2
 
     def test_save_and_load_roundtrip_field_by_field(self, tmp_path):
-        facts = [
-            make_fact(0, old_object="slate"),
-            make_fact(1, subject="Venus", new_object="jade"),
-        ]
         path = tmp_path / "out.jsonl"
-        assert save_facts(facts, path) == 2
+        store = FactStore(path)
+        store.append("Mercury", "The color of {s} is", "amber", old_object="slate")
+        store.append("Venus", "The color of {s} is", "jade",
+                     surface_text="Venus glows jade at dawn.")
         loaded = load_facts(path)
-        assert list(loaded) == facts
+        assert list(loaded) == list(store.snapshot())
+        assert [f.to_dict() for f in loaded] == [f.to_dict() for f in store.snapshot()]
 
     def test_load_missing_file_is_storage_error(self, tmp_path):
         with pytest.raises(StorageError):
@@ -208,6 +176,7 @@ class TestPersistence:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         loaded = load_facts(path)
         assert [f.seq for f in loaded] == [0, 1]
+        assert [f.seq for f in FactStore(path).snapshot()] == [0, 1]
 
     def test_unwritable_path_raises_storage_error(self, tmp_path):
         store = FactStore(tmp_path / "no" / "such" / "dir" / "facts.jsonl")

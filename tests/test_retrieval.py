@@ -8,7 +8,7 @@ import pytest
 
 from factpatch.errors import BackendError, ValidationError
 from factpatch.memory import EditFact, render_surface
-from factpatch.retrieval import DEFAULT_BUCKETS, FactIndex, HashedEmbedder, RemoteEmbedder, tokenize
+from factpatch.retrieval import FactIndex, HashedEmbedder, RemoteEmbedder, tokenize
 
 from oracles import brute_force_top_ids, oracle_embed, random_facts
 from stubserver import StubServer
@@ -102,20 +102,10 @@ class TestHashedEmbedder:
         with pytest.raises(ValidationError):
             HashedEmbedder(buckets=0)
 
-    def test_embed_batch_stacks_rows(self):
-        e = HashedEmbedder(buckets=64)
-        batch = e.embed_batch(["amber falcon", "vesper knoll"])
-        assert batch.shape == (2, 64)
-        assert np.array_equal(batch[0], e.embed("amber falcon"))
-
-    def test_dim_property(self):
-        assert HashedEmbedder(buckets=128).dim == 128
-        assert HashedEmbedder().dim == DEFAULT_BUCKETS
-
     def test_discarded_embedder_is_freed_without_the_cycle_collector(self):
         e = HashedEmbedder(buckets=64)
         e.embed("amber falcon")
-        e.embed_batch(["vesper knoll", "amber falcon"])
+        e.embed("vesper knoll")
         ref = weakref.ref(e)
         gc.disable()
         try:
@@ -138,7 +128,8 @@ class TestFactIndex:
     def test_self_retrieval_ranks_first(self):
         index = FactIndex(HashedEmbedder())
         facts = [fact(i, f"Subject{i}", new_object=f"obj{i}") for i in range(10)]
-        index.add_many(facts)
+        for f in facts:
+            index.add(f)
         for f in facts:
             top = index.top_k(f.surface_text, 1)
             assert top[0].fact.fact_id == f.fact_id
@@ -163,7 +154,8 @@ class TestFactIndex:
 
     def test_scores_are_descending(self):
         index = FactIndex(HashedEmbedder())
-        index.add_many(random_facts(40, seed=3))
+        for f in random_facts(40, seed=3):
+            index.add(f)
         scores = [sf.score for sf in index.top_k("the quartz heron of the marsh", 10)]
         assert scores == sorted(scores, reverse=True)
 
@@ -172,7 +164,8 @@ class TestFactIndex:
         # Different keys, byte-identical surfaces: scores tie exactly.
         a = fact(0, "Mercury", surface="identical surface text here")
         b = fact(1, "Venus", surface="identical surface text here")
-        index.add_many([a, b])
+        for f in [a, b]:
+            index.add(f)
         top = index.top_k("identical surface text here", 2)
         assert [sf.fact.seq for sf in top] == [1, 0]
 
@@ -185,7 +178,8 @@ class TestFactIndex:
         )
         a = EditFact(fact_id="f-bbb", **shared)
         b = EditFact(fact_id="f-aaa", **{**shared, "subject": "Venus"})
-        index.add_many([a, b])
+        for f in [a, b]:
+            index.add(f)
         top = index.top_k("identical surface text here", 2)
         assert [sf.fact.fact_id for sf in top] == ["f-aaa", "f-bbb"]
 
@@ -194,7 +188,8 @@ class TestFactIndex:
         old = fact(0, "Mercury", new_object="amber")
         new = fact(1, "Mercury", new_object="jade")
         other = fact(2, "Venus", new_object="plum")
-        index.add_many([old, new, other])
+        for f in [old, new, other]:
+            index.add(f)
         top = index.top_k("The color of Mercury is amber", 2)
         ids = [sf.fact.fact_id for sf in top]
         assert old.fact_id not in ids
@@ -203,7 +198,8 @@ class TestFactIndex:
 
     def test_prefix_property(self):
         index = FactIndex(HashedEmbedder(buckets=512))
-        index.add_many(random_facts(60, seed=9, dup_rate=0.2))
+        for f in random_facts(60, seed=9, dup_rate=0.2):
+            index.add(f)
         query = "People link the copper falcon with the harbor"
         previous: list[str] = []
         for k in range(1, 12):
@@ -213,7 +209,8 @@ class TestFactIndex:
 
     def test_k_larger_than_survivors_returns_all(self):
         index = FactIndex(HashedEmbedder())
-        index.add_many([fact(0, "Mercury"), fact(1, "Mercury"), fact(2, "Venus")])
+        for f in [fact(0, "Mercury"), fact(1, "Mercury"), fact(2, "Venus")]:
+            index.add(f)
         top = index.top_k("color", 50)
         assert len(top) == 2  # one Mercury version superseded
 
@@ -221,7 +218,8 @@ class TestFactIndex:
         buckets = 512
         facts = random_facts(120, seed=21, dup_rate=0.15)
         index = FactIndex(HashedEmbedder(buckets=buckets))
-        index.add_many(facts)
+        for f in facts:
+            index.add(f)
         queries = [
             "Which ember belongs to Maple Crest",
             "the onyx of the lagoon is frost",
@@ -244,8 +242,8 @@ class TestRemoteEmbedder:
             client = RemoteEmbedder(stub.url)
             out = client.embed_batch(["alpha", "beta"])
             assert out.shape == (2, 3)
-            assert client.dim == 3
             assert stub.requests[0][1] == {"texts": ["alpha", "beta"]}
+            assert client.embed("gamma").shape == (3,)  # same width: accepted
 
     def test_dim_change_rejected(self):
         def respond(path, body, hits):

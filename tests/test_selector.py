@@ -365,7 +365,7 @@ class TestRemoteScorer:
         with StubServer(respond) as stub:
             scorer = RemoteScorer(stub.url)
             facts = [make_fact(seq=i, subject=f"S{i}") for i in range(3)]
-            decisions = scorer.select("q", facts, threshold=0.5)
+            decisions = select(scorer, "q", facts, threshold=0.5)
             assert [d.selected for d in decisions] == [True, False, False]
 
     def test_misaligned_response_rejected(self):

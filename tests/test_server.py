@@ -29,7 +29,7 @@ def served():
         k=5,
         threshold=0.5,
     )
-    server = make_server(engine, workers=2)
+    server = make_server(engine)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
@@ -203,6 +203,22 @@ class TestQuery:
         url, _ = served
         reply = requests.post(f"{url}/query", json={"query": "q", "mode": "bogus"}, timeout=5)
         assert reply.status_code == 400
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '{"query": "The capital of France is", "k": -1}',
+            '{"query": "The capital of France is", "alpha": NaN}',
+            '{"query": "The capital of France is", "alpha": Infinity}',
+        ],
+    )
+    def test_negative_k_and_non_finite_alpha_become_400(self, served, body):
+        url, _ = served
+        requests.post(f"{url}/edits", json=FACT, timeout=5)
+        reply = requests.post(f"{url}/query", data=body,
+                              headers={"Content-Type": "application/json"}, timeout=5)
+        assert reply.status_code == 400
+        assert "error" in reply.json()
 
     def test_unknown_post_path_is_404(self, served):
         url, _ = served

@@ -72,7 +72,7 @@ def test_ask_trace_file_matches_golden(capsys, tmp_path, config_path):
     [({}, "reply_contrast_full.json"), ({"mode": TARGET_SUPPRESS}, "reply_target_suppress.json")],
 )
 def test_server_trace_reply_matches_golden(config_path, overrides, golden_name):
-    server = make_server(build_engine(load_config(config_path)), workers=1)
+    server = make_server(build_engine(load_config(config_path)))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
