@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .engine import EngineConfig, build_engine, load_config, read_config
-from .errors import ConfigError, FactPatchError, ParseError, StorageError
+from .errors import ConfigError, FactPatchError
 from .evalharness import (
     load_cases,
     record_baselines,
@@ -26,6 +25,7 @@ from .evalharness import (
     save_sweep_csv,
     sweep,
 )
+from .files import read_records
 from .memory import FactStore, payload_from_dict
 from .selector import (
     bce_loss,
@@ -39,55 +39,35 @@ from .server import make_server
 
 logger = logging.getLogger(__name__)
 
-_ENGINE_FLAGS = {
-    "memory": "memory_path",
-    "k": "retrieval_k",
-    "embedder": "embedder",
-    "buckets": "embedder_buckets",
-    "embedder_url": "embedder_url",
-    "selector_params": "selector_params_path",
-    "threshold": "selector_threshold",
-    "selector_url": "selector_url",
-    "lm": "lm_kind",
-    "lm_spec": "lm_spec_path",
-    "lm_url": "lm_url",
-    "lm_model": "lm_model",
-    "lm_top_n": "lm_top_n",
-    "lm_auth_env": "lm_auth_token_env",
-    "lm_logprob_base": "lm_logprob_base",
-    "alpha": "alpha",
-    "mode": "mode",
-    "max_answer_tokens": "max_answer_tokens",
-    "instruction": "instruction_template",
-}
-
-
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="engine config JSON file")
-    parser.add_argument("--memory", help="fact store JSONL path")
-    parser.add_argument("--k", type=int, help="retrieval depth")
-    parser.add_argument("--embedder", choices=["builtin", "remote"])
-    parser.add_argument("--buckets", type=int, help="hashed embedder dimension")
-    parser.add_argument("--embedder-url", help="remote embedder endpoint")
-    parser.add_argument("--selector-params", help="trained selector weights JSON")
-    parser.add_argument("--threshold", type=float, help="selection probability threshold")
-    parser.add_argument("--selector-url", help="remote selector endpoint")
-    parser.add_argument("--lm", choices=["toy", "remote"], help="language model kind")
-    parser.add_argument("--lm-spec", help="toy lm spec JSON path")
-    parser.add_argument("--lm-url", help="remote lm endpoint")
-    parser.add_argument("--lm-model", help="remote lm model name")
-    parser.add_argument("--lm-top-n", type=int, help="logprobs requested per step")
-    parser.add_argument("--lm-auth-env", help="env var holding the lm bearer token")
-    parser.add_argument("--lm-logprob-base", choices=["natural", "log2", "log10"])
-    parser.add_argument("--alpha", type=float, help="contrast strength")
-    parser.add_argument("--mode", choices=["contrast-full", "target-suppress"])
-    parser.add_argument("--max-answer-tokens", type=int)
-    parser.add_argument("--instruction", help="context instruction template")
+    """One flag per EngineConfig field; each flag's dest is the field it sets."""
+    add = parser.add_argument
+    add("--config", help="engine config JSON file")
+    add("--memory", dest="memory_path", help="fact store JSONL path")
+    add("--k", dest="retrieval_k", type=int, help="retrieval depth")
+    add("--embedder", dest="embedder", choices=["builtin", "remote"])
+    add("--buckets", dest="embedder_buckets", type=int, help="hashed embedder dimension")
+    add("--embedder-url", dest="embedder_url", help="remote embedder endpoint")
+    add("--selector-params", dest="selector_params_path", help="trained selector weights JSON")
+    add("--threshold", dest="selector_threshold", type=float,
+        help="selection probability threshold")
+    add("--selector-url", dest="selector_url", help="remote selector endpoint")
+    add("--lm", dest="lm_kind", choices=["toy", "remote"], help="language model kind")
+    add("--lm-spec", dest="lm_spec_path", help="toy lm spec JSON path")
+    add("--lm-url", dest="lm_url", help="remote lm endpoint")
+    add("--lm-model", dest="lm_model", help="remote lm model name")
+    add("--lm-top-n", dest="lm_top_n", type=int, help="logprobs requested per step")
+    add("--lm-auth-env", dest="lm_auth_token_env", help="env var holding the lm bearer token")
+    add("--lm-logprob-base", dest="lm_logprob_base", choices=["natural", "log2", "log10"])
+    add("--alpha", dest="alpha", type=float, help="contrast strength")
+    add("--mode", dest="mode", choices=["contrast-full", "target-suppress"])
+    add("--max-answer-tokens", dest="max_answer_tokens", type=int)
+    add("--instruction", dest="instruction_template", help="context instruction template")
 
 
 def _resolve_config(args: argparse.Namespace) -> EngineConfig:
-    flags = {field: getattr(args, flag, None) for flag, field in _ENGINE_FLAGS.items()}
-    return load_config(args.config or None, **flags)
+    fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(EngineConfig)}
+    return load_config(args.config or None, **fields)
 
 
 def _fmt(value: float | None) -> str:
@@ -105,15 +85,15 @@ def _cmd_edit(args: argparse.Namespace) -> int:
         raise ConfigError("edit needs a memory path (--memory or memory_path in --config)")
     store = FactStore(memory_path)
     if args.import_path:
-        count = 0
-        for payload in _iter_import_payloads(args.import_path):
+        # Every line is validated before the first append.
+        payloads = read_records(args.import_path, lambda record, _: payload_from_dict(record))
+        for payload in payloads:
             store.append(
                 payload["subject"], payload["relation"], payload["new_object"],
                 old_object=payload.get("old_object"),
                 surface_text=payload.get("surface_text"),
             )
-            count += 1
-        print(f"imported {count} facts into {memory_path}")
+        print(f"imported {len(payloads)} facts into {memory_path}")
         return 0
     if not (args.subject and args.relation and args.new_object):
         raise ConfigError("edit needs --subject, --relation and --new-object (or --import)")
@@ -123,25 +103,6 @@ def _cmd_edit(args: argparse.Namespace) -> int:
     )
     print(f"added {fact.fact_id} (seq {fact.seq})")
     return 0
-
-
-def _iter_import_payloads(path: str):
-    """Raw edit payloads from a JSONL file: subject, relation, new_object, extras."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise StorageError(f"could not read {path}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line=lineno, path=path) from exc
-        if not isinstance(record, dict):
-            raise ParseError("each line must be a JSON object", line=lineno, path=path)
-        yield payload_from_dict(record)
 
 
 def _cmd_ask(args: argparse.Namespace) -> int:

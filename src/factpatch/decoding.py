@@ -31,7 +31,6 @@ model untouched; that fallback is what keeps unrelated queries stable.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -40,7 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import PipelineError, StorageError, ValidationError
+from .errors import PipelineError, ValidationError
+from .files import write_json
 from .lm import TokenDistribution, greedy_answer
 from .memory import EditFact
 from .selector import select
@@ -128,12 +128,7 @@ class DecodeTrace:
         }
 
     def save(self, path: str | os.PathLike[str]) -> None:
-        try:
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(self.to_dict(), handle, indent=2)
-                handle.write("\n")
-        except OSError as exc:
-            raise StorageError(f"could not write {os.fspath(path)}: {exc}") from exc
+        write_json(path, self.to_dict())
 
 
 def build_context(facts: Sequence[EditFact], query: str, template: str = DEFAULT_INSTRUCTION) -> str:

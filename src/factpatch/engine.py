@@ -4,7 +4,6 @@ selection and decoding behind add_fact / answer."""
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import threading
 from dataclasses import dataclass
@@ -19,7 +18,8 @@ from .decoding import (
     DecodePlan,
     DecodeTrace,
 )
-from .errors import ConfigError, StorageError
+from .errors import ConfigError, ParseError
+from .files import read_object
 from .lm import RemoteLM, ToyLM, load_toy_spec
 from .memory import EditFact, FactStore
 from .retrieval import DEFAULT_BUCKETS, FactIndex, HashedEmbedder, RemoteEmbedder
@@ -117,18 +117,11 @@ def flatten_config(data: Mapping) -> dict:
 
 
 def read_config(path: str | os.PathLike[str]) -> dict:
-    """The EngineConfig fields a JSON config file sets, flattened."""
-    path = os.fspath(path)
+    """The EngineConfig fields a JSON object file sets; other content is a ConfigError."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise StorageError(f"could not read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc.msg} (line {exc.lineno})") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path} must contain a JSON object")
-    return flatten_config(data)
+        return read_object(path, flatten_config)
+    except ParseError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path: str | os.PathLike[str] | None = None, **overrides) -> EngineConfig:
@@ -198,7 +191,6 @@ class Engine:
         alpha: float | None = None,
         k: int | None = None,
         mode: str | None = None,
-        threshold: float | None = None,
     ) -> tuple[str, DecodeTrace]:
         plan = self.plan
         if alpha is not None or mode is not None:
@@ -214,7 +206,7 @@ class Engine:
             query,
             plan,
             k=self.k if k is None else k,
-            threshold=self.threshold if threshold is None else threshold,
+            threshold=self.threshold,
         )
 
 

@@ -14,19 +14,15 @@ class ValidationError(FactPatchError):
 class ParseError(FactPatchError):
     """A persisted file could not be parsed.
 
-    Carries the 1-based line (or record) number so callers can point at the
-    offending entry.
+    Carries the file's path and, when one entry is at fault, its 1-based line
+    (or array position) so callers can point at it.
     """
 
-    def __init__(self, message: str, *, line: int | None = None, path: str | None = None):
+    def __init__(self, message: str, *, path: str, line: int | None = None):
         self.line = line
         self.path = path
-        where = ""
-        if path is not None:
-            where += f"{path}"
-        if line is not None:
-            where += f":{line}"
-        super().__init__(f"{where}: {message}" if where else message)
+        where = path if line is None else f"{path}:{line}"
+        super().__init__(f"{where}: {message}")
 
 
 class StorageError(FactPatchError):

@@ -14,15 +14,14 @@ mean. Classes with no queries are reported as absent, not as zero.
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 import os
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .errors import FactPatchError, ParseError, PipelineError, StorageError, ValidationError
+from .errors import FactPatchError, PipelineError, ValidationError
+from .files import read_records, write_csv, write_json, write_jsonl
 from .lm import greedy_answer
 from .memory import EditFact, render_surface
 
@@ -85,8 +84,12 @@ class EvalCase:
 
     def __post_init__(self) -> None:
         for name in ("case_id", "subject", "relation", "new_object"):
-            if not getattr(self, name).strip():
-                raise ValidationError(f"EvalCase.{name} must be non-empty")
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value.strip():
+                raise ValidationError(f"EvalCase.{name} must be a non-empty string")
+        for name in ("old_object", "surface_text"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ValidationError(f"EvalCase.{name} must be a string or None")
         if not self.rel_queries:
             raise ValidationError(f"case {self.case_id}: rel_queries must be non-empty")
 
@@ -159,34 +162,16 @@ class EvalReport:
         }
 
     def save_summary(self, path: str | os.PathLike[str]) -> None:
-        try:
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(self.summary_dict(), handle, indent=2, sort_keys=True)
-                handle.write("\n")
-        except OSError as exc:
-            raise StorageError(f"could not write {os.fspath(path)}: {exc}") from exc
+        write_json(path, self.summary_dict(), sort_keys=True)
 
     def save_records_csv(self, path: str | os.PathLike[str]) -> None:
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(
-                    ["case_id", "query_type", "query", "expected", "got", "pass", "fallback_used"]
-                )
-                for r in self.records:
-                    writer.writerow(
-                        [
-                            r.case_id,
-                            r.query_type,
-                            r.query,
-                            r.expected,
-                            r.got,
-                            str(r.passed).lower(),
-                            str(r.fallback_used).lower(),
-                        ]
-                    )
-        except OSError as exc:
-            raise StorageError(f"could not write {os.fspath(path)}: {exc}") from exc
+        header = ["case_id", "query_type", "query", "expected", "got", "pass", "fallback_used"]
+        rows = (
+            [r.case_id, r.query_type, r.query, r.expected, r.got,
+             str(r.passed).lower(), str(r.fallback_used).lower()]
+            for r in self.records
+        )
+        write_csv(path, header, rows)
 
 
 def _mean(bits: list[bool]) -> float | None:
@@ -350,23 +335,9 @@ def sweep(
 
 
 def save_sweep_csv(rows: list[dict], path: str | os.PathLike[str]) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["value", "reliability", "generality", "locality", "average", "error"])
-            for row in rows:
-                writer.writerow(
-                    [
-                        row.get("value"),
-                        row.get("reliability"),
-                        row.get("generality"),
-                        row.get("locality"),
-                        row.get("average"),
-                        row.get("error", ""),
-                    ]
-                )
-    except OSError as exc:
-        raise StorageError(f"could not write {os.fspath(path)}: {exc}") from exc
+    columns = ["value", "reliability", "generality", "locality", "average"]
+    values = ([row.get(c) for c in columns] + [row.get("error", "")] for row in rows)
+    write_csv(path, columns + ["error"], values)
 
 
 # ── case files ──
@@ -549,42 +520,9 @@ def load_cases(path: str | os.PathLike[str], format: str = "canonical") -> list[
     if format not in _ADAPTERS:
         raise ValidationError(f"unknown case format {format!r}; know {sorted(_ADAPTERS)}")
     adapter = _ADAPTERS[format]
-    path = os.fspath(path)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            content = handle.read()
-    except OSError as exc:
-        raise StorageError(f"could not read {path}: {exc}") from exc
-    records: list[tuple[int, dict]] = []
-    if content.lstrip().startswith("["):
-        try:
-            array = json.loads(content)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, path=path) from exc
-        records = [(i + 1, r) for i, r in enumerate(array)]
-    else:
-        for lineno, line in enumerate(content.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append((lineno, json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno, path=path) from exc
-    cases = []
-    for lineno, record in records:
-        try:
-            cases.append(adapter(record, default_id=f"case-{lineno}"))
-        except (KeyError, TypeError, ValidationError) as exc:
-            detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-            raise ParseError(f"bad {format} record: {detail}", line=lineno, path=path) from exc
-    return cases
+    return read_records(path, lambda record, line: adapter(record, default_id=f"case-{line}"))
 
 
 def save_cases(cases: Sequence[EvalCase], path: str | os.PathLike[str]) -> int:
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            for case in cases:
-                handle.write(json.dumps(case_to_dict(case), ensure_ascii=False) + "\n")
-    except OSError as exc:
-        raise StorageError(f"could not write {os.fspath(path)}: {exc}") from exc
+    write_jsonl(path, (case_to_dict(case) for case in cases))
     return len(cases)

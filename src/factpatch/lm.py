@@ -35,7 +35,6 @@ Unmatched prompts get the uniform distribution over the vocabulary.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import os
@@ -47,14 +46,8 @@ from typing import Mapping, Sequence
 
 import requests
 
-from .errors import (
-    BackendError,
-    CapabilityError,
-    ConfigError,
-    ParseError,
-    StorageError,
-    ValidationError,
-)
+from .errors import BackendError, CapabilityError, ConfigError, ValidationError
+from .files import read_object, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -163,23 +156,20 @@ class ToyLmSpec:
 
     @classmethod
     def from_dict(cls, body: dict) -> "ToyLmSpec":
-        try:
-            rules = tuple(
-                ToyRule(
-                    subject=r["subject"],
-                    keywords=tuple(r["keywords"]),
-                    answers={str(t): float(p) for t, p in r["answers"].items()},
-                )
-                for r in body.get("rules", [])
+        rules = tuple(
+            ToyRule(
+                subject=r["subject"],
+                keywords=tuple(r["keywords"]),
+                answers={str(t): float(p) for t, p in r["answers"].items()},
             )
-            return cls(
-                rules=rules,
-                vocabulary=tuple(body["vocabulary"]),
-                beta=float(body.get("beta", 0.6)),
-                continuations={str(k): str(v) for k, v in body.get("continuations", {}).items()},
-            )
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ValidationError(f"malformed toy model spec: {exc}") from exc
+            for r in body.get("rules", [])
+        )
+        return cls(
+            rules=rules,
+            vocabulary=tuple(body["vocabulary"]),
+            beta=float(body.get("beta", 0.6)),
+            continuations={str(k): str(v) for k, v in body.get("continuations", {}).items()},
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -198,27 +188,11 @@ class ToyLmSpec:
 
 
 def load_toy_spec(path: str | os.PathLike[str]) -> ToyLmSpec:
-    path = os.fspath(path)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            body = json.load(handle)
-    except OSError as exc:
-        raise StorageError(f"could not read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, path=path) from exc
-    try:
-        return ToyLmSpec.from_dict(body)
-    except ValidationError as exc:
-        raise ParseError(str(exc), path=path) from exc
+    return read_object(path, ToyLmSpec.from_dict)
 
 
 def save_toy_spec(spec: ToyLmSpec, path: str | os.PathLike[str]) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(spec.to_dict(), handle, indent=2)
-            handle.write("\n")
-    except OSError as exc:
-        raise StorageError(f"could not write {os.fspath(path)}: {exc}") from exc
+    write_json(path, spec.to_dict())
 
 
 class _ToyTables:

@@ -7,7 +7,7 @@ keep arriving.
 
 File format: one JSON object per line (JSONL), UTF-8, fields
 ``fact_id, seq, subject, relation, old_object, new_object, surface_text``.
-Appends write single lines, so a torn final line never corrupts earlier ones.
+Appends write single fsynced lines; a torn final line makes ``load_facts`` raise.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ParseError, StorageError, ValidationError
+from .files import read_records
 
 SUBJECT_PLACEHOLDER = "{s}"
 
@@ -59,8 +60,9 @@ class EditFact:
             value = getattr(self, name)
             if not isinstance(value, str) or not value.strip():
                 raise ValidationError(f"EditFact.{name} must be a non-empty string")
-        if self.old_object is not None and not self.old_object.strip():
-            raise ValidationError("EditFact.old_object must be None or non-empty")
+        old = self.old_object
+        if old is not None and not (isinstance(old, str) and old.strip()):
+            raise ValidationError("EditFact.old_object must be None or a non-empty string")
         if not isinstance(self.seq, int) or self.seq < 0:
             raise ValidationError("EditFact.seq must be a non-negative integer")
 
@@ -71,21 +73,6 @@ class EditFact:
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in _FIELDS}
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "EditFact":
-        missing = [name for name in _FIELDS if name not in record and name != "old_object"]
-        if missing:
-            raise ValidationError(f"fact record missing fields: {', '.join(missing)}")
-        return cls(
-            fact_id=record["fact_id"],
-            seq=record["seq"],
-            subject=record["subject"],
-            relation=record["relation"],
-            old_object=record.get("old_object"),
-            new_object=record["new_object"],
-            surface_text=record["surface_text"],
-        )
 
 
 @dataclass(frozen=True)
@@ -115,10 +102,6 @@ class FactStore:
         if self._path is not None and os.path.exists(self._path):
             for fact in load_facts(self._path):
                 self._facts.append(fact)
-
-    @property
-    def path(self) -> str | None:
-        return self._path
 
     def __len__(self) -> int:
         with self._lock:
@@ -175,25 +158,22 @@ class FactStore:
         return FactSet(facts=facts)
 
 
+def _fact_from_record(record: dict, _line: int) -> EditFact:
+    return EditFact(
+        fact_id=record["fact_id"],
+        seq=record["seq"],
+        subject=record["subject"],
+        relation=record["relation"],
+        old_object=record.get("old_object"),
+        new_object=record["new_object"],
+        surface_text=record["surface_text"],
+    )
+
+
 def load_facts(path: str | os.PathLike[str]) -> FactSet:
     """Load a JSONL fact file. A malformed line raises ParseError naming it."""
     path = os.fspath(path)
-    facts: list[EditFact] = []
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"invalid JSON: {exc.msg}", line=lineno, path=path) from exc
-                try:
-                    facts.append(EditFact.from_dict(record))
-                except ValidationError as exc:
-                    raise ParseError(str(exc), line=lineno, path=path) from exc
-    except OSError as exc:
-        raise StorageError(f"could not read {path}: {exc}") from exc
+    facts = read_records(path, _fact_from_record)
     seqs = [f.seq for f in facts]
     if sorted(seqs) != list(range(len(facts))):
         raise ParseError("seq values are not a dense 0..N-1 range", path=path)
@@ -202,13 +182,17 @@ def load_facts(path: str | os.PathLike[str]) -> FactSet:
 
 
 def payload_from_dict(record: dict) -> dict:
-    """Validate a raw edit payload (no fact_id/seq yet) from an import file."""
+    """Validate a raw edit payload (no fact_id/seq yet) as the fact it will become."""
     if "subject" not in record or "new_object" not in record or "relation" not in record:
         raise ValidationError("edit payload needs subject, relation and new_object")
-    return {
+    payload = {
         "subject": record["subject"],
         "relation": record["relation"],
         "new_object": record["new_object"],
         "old_object": record.get("old_object"),
         "surface_text": record.get("surface_text"),
     }
+    # A missing surface text is rendered later from the fields checked here.
+    surface = "rendered" if payload["surface_text"] is None else payload["surface_text"]
+    EditFact(fact_id="payload", seq=0, **{**payload, "surface_text": surface})
+    return payload

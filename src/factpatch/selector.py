@@ -16,7 +16,6 @@ Feature vector (all values in [0, 1]):
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 from collections import Counter
@@ -27,7 +26,8 @@ from typing import Sequence
 import numpy as np
 import requests
 
-from .errors import BackendError, ConfigError, ParseError, StorageError, ValidationError
+from .errors import BackendError, ConfigError, ValidationError
+from .files import read_object, write_json
 from .memory import SUBJECT_PLACEHOLDER, EditFact
 from .retrieval import ScoredFact, tokenize
 
@@ -127,10 +127,6 @@ class SelectionDecision:
     fact: EditFact
     probability: float
     selected: bool
-
-    @property
-    def label(self) -> int:
-        return int(self.selected)
 
 
 def select(
@@ -294,37 +290,26 @@ def save_params(params: ScorerParams, path: str | os.PathLike[str]) -> None:
         "weights": [float(w) for w in params.weights],
         "bias": float(params.bias),
     }
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(body, handle, indent=2)
-            handle.write("\n")
-    except OSError as exc:
-        raise StorageError(f"could not write {os.fspath(path)}: {exc}") from exc
+    write_json(path, body)
 
 
 def load_params(path: str | os.PathLike[str]) -> ScorerParams:
     path = os.fspath(path)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            body = json.load(handle)
-    except OSError as exc:
-        raise StorageError(f"could not read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, path=path) from exc
-    version = body.get("feature_version")
-    if version != FEATURE_VERSION:
-        raise ConfigError(
-            f"scorer params at {path} were built for feature extractor "
-            f"{version!r}, current is {FEATURE_VERSION!r}"
-        )
-    try:
+
+    def decode(body: dict) -> ScorerParams:
+        version = body.get("feature_version")
+        if version != FEATURE_VERSION:
+            raise ConfigError(
+                f"scorer params at {path} were built for feature extractor "
+                f"{version!r}, current is {FEATURE_VERSION!r}"
+            )
         return ScorerParams(
             weights=np.asarray(body["weights"], dtype=np.float64),
             bias=float(body["bias"]),
             feature_version=version,
         )
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed scorer params: {exc}", path=path) from exc
+
+    return read_object(path, decode)
 
 
 class RemoteScorer:

@@ -243,7 +243,8 @@ class TestEngineAnswer:
         assert text == "Paris is the answer"
 
     def test_threshold_override_can_reject_everything(self, engine):
-        _, trace = engine.answer("The capital of France is", threshold=0.99)
+        engine.threshold = 0.99
+        _, trace = engine.answer("The capital of France is")
         assert trace.fallback_used
 
     def test_add_fact_keeps_store_and_index_in_step(self, engine):

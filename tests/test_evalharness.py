@@ -79,6 +79,14 @@ class TestCaseValidation:
         with pytest.raises(ValidationError):
             QueryExpectation("q", " ")
 
+    @pytest.mark.parametrize(
+        "field", ["case_id", "subject", "relation", "new_object", "old_object", "surface_text"]
+    )
+    def test_non_string_field_rejected(self, field):
+        fields = {"case_id": "c", "subject": "S", "relation": "r {s}", "new_object": "N"}
+        with pytest.raises(ValidationError):
+            EvalCase(**{**fields, field: 5}, rel_queries=(QueryExpectation("r S", "N"),))
+
     def test_case_requires_rel_queries(self):
         with pytest.raises(ValidationError):
             EvalCase(case_id="c", subject="S", relation="r {s}", new_object="N")

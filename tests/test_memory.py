@@ -91,6 +91,14 @@ class TestAppend:
         with pytest.raises(ValidationError):
             empty_store.append("Mercury", "The color of {s} is", "amber", old_object=" ")
 
+    @pytest.mark.parametrize(
+        "field", ["fact_id", "subject", "relation", "old_object", "new_object", "surface_text"]
+    )
+    def test_non_string_field_rejected(self, field):
+        record = {**make_fact(0).to_dict(), field: 5}
+        with pytest.raises(ValidationError):
+            EditFact(**record)
+
 
 class TestSnapshot:
     def test_snapshot_is_immune_to_later_appends(self, empty_store):
@@ -212,3 +220,11 @@ class TestPayloads:
     def test_non_dict_rejected(self):
         with pytest.raises(ValidationError):
             payload_from_dict(["subject"])
+
+    @pytest.mark.parametrize("override", [
+        {"subject": ""}, {"relation": 5}, {"old_object": 5}, {"surface_text": ""},
+    ])
+    def test_payload_is_checked_as_the_fact_it_becomes(self, override):
+        record = {"subject": "Mercury", "relation": "The color of {s} is", "new_object": "amber"}
+        with pytest.raises(ValidationError):
+            payload_from_dict({**record, **override})

@@ -149,7 +149,6 @@ class TestSelect:
         decisions = select(ScorerParams.untrained(), "Who leads Mexico?", [make_fact()])
         assert decisions[0].probability == 0.5
         assert not decisions[0].selected
-        assert decisions[0].label == 0
 
     def test_selects_above_threshold_only(self):
         # Weight only the subject-hit feature: p = sigmoid(4*hit - 2).

@@ -89,6 +89,15 @@ class TestEdits:
         assert "error" in reply.json()
         assert len(engine.store) == 0  # validated before any append
 
+    @pytest.mark.parametrize("override", [{"subject": ""}, {"old_object": 5}])
+    def test_fact_failing_validation_in_bulk_is_400_and_adds_nothing(self, served, override):
+        url, engine = served
+        reply = requests.post(
+            f"{url}/edits", json={"facts": [FACT, dict(FACT, **override)]}, timeout=5
+        )
+        assert reply.status_code == 400
+        assert len(engine.store) == 0
+
     def test_empty_facts_list_rejected(self, served):
         url, _ = served
         reply = requests.post(f"{url}/edits", json={"facts": []}, timeout=5)
