@@ -41,7 +41,7 @@ from .evalharness import (
 )
 from .lm import RemoteLM, TokenDistribution, ToyLM, ToyLmSpec, load_toy_spec
 from .memory import EditFact, FactStore, load_facts
-from .retrieval import FactIndex, HashedEmbedder, RemoteEmbedder
+from .retrieval import FactIndex, HashedEmbedder
 from .selector import RemoteScorer, ScorerParams, select, train
 
 __all__ = [
@@ -64,7 +64,6 @@ __all__ = [
     "ParseError",
     "PipelineError",
     "QueryExpectation",
-    "RemoteEmbedder",
     "RemoteLM",
     "RemoteScorer",
     "ScorerParams",

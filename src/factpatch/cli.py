@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .engine import EngineConfig, build_engine, load_config, read_config
+from .engine import EngineConfig, build_engine, load_config, prepare_edit, read_config
 from .errors import ConfigError, FactPatchError
 from .evalharness import (
     load_cases,
@@ -26,7 +26,8 @@ from .evalharness import (
     sweep,
 )
 from .files import read_records
-from .memory import FactStore, payload_from_dict
+from .memory import FactStore
+from .retrieval import HashedEmbedder
 from .selector import (
     bce_loss,
     build_training_pairs,
@@ -45,9 +46,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     add("--config", help="engine config JSON file")
     add("--memory", dest="memory_path", help="fact store JSONL path")
     add("--k", dest="retrieval_k", type=int, help="retrieval depth")
-    add("--embedder", dest="embedder", choices=["builtin", "remote"])
     add("--buckets", dest="embedder_buckets", type=int, help="hashed embedder dimension")
-    add("--embedder-url", dest="embedder_url", help="remote embedder endpoint")
     add("--selector-params", dest="selector_params_path", help="trained selector weights JSON")
     add("--threshold", dest="selector_threshold", type=float,
         help="selection probability threshold")
@@ -84,23 +83,20 @@ def _cmd_edit(args: argparse.Namespace) -> int:
     if not memory_path:
         raise ConfigError("edit needs a memory path (--memory or memory_path in --config)")
     store = FactStore(memory_path)
+    embedder = HashedEmbedder()
     if args.import_path:
-        # Every line is validated before the first append.
-        payloads = read_records(args.import_path, lambda record, _: payload_from_dict(record))
+        # Every line is validated and embedded before the first append.
+        payloads = read_records(args.import_path, lambda record, _: prepare_edit(record, embedder))
         for payload in payloads:
-            store.append(
-                payload["subject"], payload["relation"], payload["new_object"],
-                old_object=payload.get("old_object"),
-                surface_text=payload.get("surface_text"),
-            )
+            store.append(**payload)
         print(f"imported {len(payloads)} facts into {memory_path}")
         return 0
     if not (args.subject and args.relation and args.new_object):
         raise ConfigError("edit needs --subject, --relation and --new-object (or --import)")
-    fact = store.append(
-        args.subject, args.relation, args.new_object,
-        old_object=args.old_object, surface_text=args.surface,
-    )
+    fact = store.append(**prepare_edit({
+        "subject": args.subject, "relation": args.relation, "new_object": args.new_object,
+        "old_object": args.old_object, "surface_text": args.surface,
+    }, embedder))
     print(f"added {fact.fact_id} (seq {fact.seq})")
     return 0
 

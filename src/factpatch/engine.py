@@ -21,8 +21,8 @@ from .decoding import (
 from .errors import ConfigError, ParseError
 from .files import read_object
 from .lm import RemoteLM, ToyLM, load_toy_spec
-from .memory import EditFact, FactStore
-from .retrieval import DEFAULT_BUCKETS, FactIndex, HashedEmbedder, RemoteEmbedder
+from .memory import EditFact, FactStore, payload_from_dict, render_surface
+from .retrieval import DEFAULT_BUCKETS, FactIndex, HashedEmbedder
 from .selector import (
     DEFAULT_THRESHOLD,
     RemoteScorer,
@@ -37,9 +37,7 @@ DEFAULT_K = 5
 class EngineConfig:
     memory_path: str | None = None
     retrieval_k: int = DEFAULT_K
-    embedder: str = "builtin"
     embedder_buckets: int = DEFAULT_BUCKETS
-    embedder_url: str | None = None
     selector_params_path: str | None = None
     selector_threshold: float = DEFAULT_THRESHOLD
     selector_url: str | None = None
@@ -58,10 +56,8 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.retrieval_k < 1:
             raise ConfigError("retrieval_k must be >= 1")
-        if self.embedder not in ("builtin", "remote"):
-            raise ConfigError(f"unknown embedder kind {self.embedder!r}")
-        if self.embedder == "remote" and not self.embedder_url:
-            raise ConfigError("embedder_url is required for the remote embedder")
+        if self.embedder_buckets < 1:
+            raise ConfigError("embedder_buckets must be >= 1")
         if self.lm_kind not in ("toy", "remote"):
             raise ConfigError(f"unknown lm kind {self.lm_kind!r}")
         if self.lm_kind == "toy" and not self.lm_spec_path:
@@ -83,8 +79,7 @@ class EngineConfig:
 
 
 _SECTION_KEYS = {
-    "retrieval": {"k": "retrieval_k", "embedder": "embedder",
-                  "buckets": "embedder_buckets", "url": "embedder_url"},
+    "retrieval": {"k": "retrieval_k", "buckets": "embedder_buckets"},
     "selector": {"params_path": "selector_params_path",
                  "threshold": "selector_threshold", "url": "selector_url"},
     "lm": {"kind": "lm_kind", "spec_path": "lm_spec_path", "url": "lm_url",
@@ -134,6 +129,14 @@ def load_config(path: str | os.PathLike[str] | None = None, **overrides) -> Engi
         raise ConfigError(f"bad config value: {exc}") from exc
 
 
+def prepare_edit(record: dict, embedder: HashedEmbedder) -> dict:
+    """Validate an edit payload and embed its surface text: run it on a whole
+    batch before the first append, and a bad fact leaves the store untouched."""
+    payload = payload_from_dict(record)
+    embedder.embed(payload["surface_text"])
+    return payload
+
+
 class Engine:
     """Edited model: memory plus retrieval plus selection plus decoding.
 
@@ -170,6 +173,10 @@ class Engine:
         old_object: str | None = None,
         surface_text: str | None = None,
     ) -> EditFact:
+        # Embedding first keeps a fact the index would reject out of the store.
+        if surface_text is None:
+            surface_text = render_surface(subject, relation, new_object)
+        self.index.embedder.embed(surface_text)
         with self._write_lock:
             fact = self.store.append(
                 subject, relation, new_object,
@@ -217,11 +224,7 @@ def build_engine(config: EngineConfig, *, in_memory: bool = False) -> Engine:
     persistent store (sweeps, evaluation replays).
     """
     store = FactStore(None if in_memory else config.memory_path)
-    if config.embedder == "remote":
-        embedder = RemoteEmbedder(config.embedder_url)
-    else:
-        embedder = HashedEmbedder(buckets=config.embedder_buckets)
-    index = FactIndex(embedder)
+    index = FactIndex(HashedEmbedder(buckets=config.embedder_buckets))
     for fact in store.snapshot():
         index.add(fact)
     if config.selector_url:

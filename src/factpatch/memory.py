@@ -182,7 +182,8 @@ def load_facts(path: str | os.PathLike[str]) -> FactSet:
 
 
 def payload_from_dict(record: dict) -> dict:
-    """Validate a raw edit payload (no fact_id/seq yet) as the fact it will become."""
+    """Validate a raw edit payload (no fact_id/seq yet) as the fact it will
+    become; a missing surface text is rendered here, as ``append`` would."""
     if "subject" not in record or "new_object" not in record or "relation" not in record:
         raise ValidationError("edit payload needs subject, relation and new_object")
     payload = {
@@ -192,7 +193,10 @@ def payload_from_dict(record: dict) -> dict:
         "old_object": record.get("old_object"),
         "surface_text": record.get("surface_text"),
     }
-    # A missing surface text is rendered later from the fields checked here.
     surface = "rendered" if payload["surface_text"] is None else payload["surface_text"]
     EditFact(fact_id="payload", seq=0, **{**payload, "surface_text": surface})
+    if payload["surface_text"] is None:
+        payload["surface_text"] = render_surface(
+            payload["subject"], payload["relation"], payload["new_object"]
+        )
     return payload

@@ -1,24 +1,30 @@
-"""Dense retrieval over fact surface texts.
+"""Sparse hashed retrieval over fact surface texts.
 
-The built-in embedder is a hashed term-frequency encoder: lowercase, split on
-non-alphanumerics, then hash word tokens and character trigrams into a fixed
-number of buckets and L2-normalize. It needs no fitting, so vectors never go
-stale as edits stream in. Scoring is an exact exhaustive dot-product scan;
-with normalized vectors that is cosine similarity.
+The embedder lowercases, splits on non-alphanumerics, and hashes word tokens
+and character trigrams into a fixed number of buckets: a text becomes integer
+counts in about 50 buckets, plus its integer squared norm. It needs no
+fitting, so vectors never go stale as edits stream in. The index keeps an
+append-only posting list per bucket; summing the query's postings gives every
+fact's exact dot product, and ranking by cosine settles ties exactly.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 import threading
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
-import requests
 
-from .errors import BackendError, ValidationError
+from .errors import ValidationError
 from .memory import EditFact
 
 DEFAULT_BUCKETS = 4096
@@ -31,25 +37,33 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+# Trigrams and words repeat across texts, so most lookups hit, and cached texts
+# share the returned ints. Keyed on plain values, it holds no embedder alive.
+@lru_cache(maxsize=1 << 16)
 def _bucket(feature: str, buckets: int) -> int:
     digest = hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") % buckets
 
 
-def _embed(buckets: int, text: str) -> np.ndarray:
+class SparseVector(NamedTuple):
+    """Non-zero bucket ids in increasing order, their counts, and the squared norm."""
+
+    ids: tuple[int, ...]
+    counts: tuple[int, ...]
+    norm2: int
+
+
+def _embed(buckets: int, text: str) -> SparseVector:
     tokens = tokenize(text)
     if not tokens:
         raise ValidationError("text has no alphanumeric content to embed")
     canonical = " ".join(tokens)
-    vec = np.zeros(buckets, dtype=np.float32)
-    for token in tokens:
-        vec[_bucket("w:" + token, buckets)] += 1.0
-    for i in range(len(canonical) - 2):
-        vec[_bucket("t:" + canonical[i : i + 3], buckets)] += 1.0
-    norm = float(np.linalg.norm(vec))
-    vec /= norm
-    vec.flags.writeable = False
-    return vec
+    features = ["w:" + token for token in tokens]
+    features += ["t:" + canonical[i : i + 3] for i in range(len(canonical) - 2)]
+    counts = Counter(map(_bucket, features, repeat(buckets)))
+    ids = tuple(sorted(counts))
+    values = tuple(counts[i] for i in ids)
+    return SparseVector(ids, values, sum(v * v for v in values))
 
 
 class HashedEmbedder:
@@ -67,55 +81,8 @@ class HashedEmbedder:
         # bound method would hold the embedder in a cycle; this one does not.
         self._embed_cached = lru_cache(maxsize=65536)(partial(_embed, buckets))
 
-    def embed(self, text: str) -> np.ndarray:
-        if not text or not text.strip():
-            raise ValidationError("cannot embed empty text")
+    def embed(self, text: str) -> SparseVector:
         return self._embed_cached(text)
-
-
-class RemoteEmbedder:
-    """Client for an HTTP embedding endpoint.
-
-    Protocol: POST ``{"texts": [...]}`` to ``url``, response
-    ``{"embeddings": [[...], ...]}``. The dimensionality seen in the first
-    response is pinned; later mismatches raise.
-    """
-
-    def __init__(self, url: str, timeout: float = 10.0, session: requests.Session | None = None):
-        self.url = url
-        self.timeout = timeout
-        self._session = session or requests.Session()
-        self._dim: int | None = None
-
-    def embed_batch(self, texts: list[str]) -> np.ndarray:
-        for text in texts:
-            if not text or not text.strip():
-                raise ValidationError("cannot embed empty text")
-        try:
-            response = self._session.post(self.url, json={"texts": texts}, timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise BackendError(f"embedding request to {self.url} failed: {exc}") from exc
-        if response.status_code != 200:
-            raise BackendError(
-                f"embedding endpoint returned HTTP {response.status_code}",
-                last_status=response.status_code,
-            )
-        body = response.json()
-        if "embeddings" not in body:
-            raise BackendError("embedding response missing 'embeddings' field")
-        matrix = np.asarray(body["embeddings"], dtype=np.float32)
-        if matrix.ndim != 2 or matrix.shape[0] != len(texts):
-            raise BackendError("embedding response shape does not match request")
-        if self._dim is None:
-            self._dim = int(matrix.shape[1])
-        elif matrix.shape[1] != self._dim:
-            raise BackendError(
-                f"embedding dimensionality changed from {self._dim} to {matrix.shape[1]}"
-            )
-        return matrix
-
-    def embed(self, text: str) -> np.ndarray:
-        return self.embed_batch([text])[0]
 
 
 @dataclass(frozen=True)
@@ -124,73 +91,113 @@ class ScoredFact:
     score: float
 
 
-class FactIndex:
-    """Exact dot-product index over fact vectors.
+def _shortlist(rows: np.ndarray, keys: np.ndarray, k: int, slack: float) -> np.ndarray:
+    """The rows whose key is at least the k-th largest, less ``slack`` of it."""
+    if len(rows) <= k:
+        return rows
+    kth = np.partition(keys, len(rows) - k)[len(rows) - k]
+    return rows[keys >= kth - abs(kth) * slack]
 
-    Re-adding a fact_id replaces its entry. ``top_k`` ranks every indexed
-    fact, breaks score ties by newer seq then fact_id, drops superseded
-    versions of the same (subject, relation) key (latest wins), and returns
-    up to k survivors, refilling from deeper ranks as duplicates drop out.
-    That makes ``top_k(q, k)`` a prefix of ``top_k(q, k + 1)``.
+
+class FactIndex:
+    """Exact cosine index over sparse fact vectors, on append-only postings.
+
+    ``add`` appends a row to the postings of its buckets; re-adding a fact_id
+    retires its old row. A row is eligible when it is live and holds the
+    highest seq of its (subject, relation) key (latest wins). ``top_k`` ranks
+    eligible rows by cosine d / sqrt(n) (dot product d, squared norm n),
+    compared exactly as d²/n, then by newer seq, then by smaller fact_id;
+    rows with d = 0 rank by the last two alone. The order is total, so
+    ``top_k(q, k)`` is a prefix of ``top_k(q, k + 1)``.
     """
 
-    def __init__(self, embedder):
+    def __init__(self, embedder: HashedEmbedder):
         self.embedder = embedder
         self._lock = threading.Lock()
-        self._ids: list[str] = []
-        self._row_of: dict[str, int] = {}
-        self._facts: dict[str, EditFact] = {}
-        self._rows: list[np.ndarray] = []
-        self._key_max_seq: dict[tuple[str, str], int] = {}
-        self._matrix: np.ndarray | None = None
-        self._seqs: np.ndarray | None = None
-        self._id_array: np.ndarray | None = None
+        self._facts: list[EditFact] = []  # by row, retired rows included
+        self._row_of: dict[str, int] = {}  # fact_id -> its live row
+        self._seqs = array("q")
+        self._norm2 = array("q")
+        self._eligible = bytearray()
+        self._top: dict[tuple[str, str], list[int]] = {}  # key -> its eligible rows
+        self._postings = defaultdict(lambda: (array("i"), array("i")))  # bucket -> rows, counts
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._ids)
+            return len(self._row_of)
 
     def add(self, fact: EditFact) -> None:
         vector = self.embedder.embed(fact.surface_text)
         with self._lock:
-            old = self._facts.get(fact.fact_id)
+            row = len(self._facts)
+            self._facts.append(fact)
+            self._seqs.append(fact.seq)
+            self._norm2.append(vector.norm2)
+            self._eligible.append(0)
+            for bucket, count in zip(vector.ids, vector.counts):
+                rows, counts = self._postings[bucket]
+                rows.append(row)
+                counts.append(count)
+            old = self._row_of.pop(fact.fact_id, None)
             if old is not None:
-                self._rows[self._row_of[fact.fact_id]] = vector
-            else:
-                self._row_of[fact.fact_id] = len(self._ids)
-                self._ids.append(fact.fact_id)
-                self._rows.append(vector)
-            self._facts[fact.fact_id] = fact
-            self._matrix = None
+                self._retire(old)
+            self._row_of[fact.fact_id] = row
+            self._promote(row)
 
-    def _refresh(self) -> None:
-        if self._matrix is None:
-            self._matrix = np.stack(self._rows) if self._rows else np.zeros((0, 1), np.float32)
-            self._seqs = np.array([self._facts[i].seq for i in self._ids], dtype=np.int64)
-            self._id_array = np.array(self._ids)
-            self._key_max_seq = {}
-            for fact in self._facts.values():
-                key = (fact.subject, fact.relation)
-                if fact.seq > self._key_max_seq.get(key, -1):
-                    self._key_max_seq[key] = fact.seq
+    def _promote(self, row: int) -> None:
+        fact = self._facts[row]
+        top = self._top.setdefault((fact.subject, fact.relation), [])
+        newest = self._facts[top[0]].seq if top else -1
+        if fact.seq < newest:
+            return  # superseded on arrival
+        if fact.seq > newest:
+            for previous in top:
+                self._eligible[previous] = 0
+            top.clear()
+        top.append(row)
+        self._eligible[row] = 1
+
+    def _retire(self, row: int) -> None:
+        key = (self._facts[row].subject, self._facts[row].relation)
+        if self._eligible[row]:
+            self._eligible[row] = 0
+            self._top[key].remove(row)
+        if not self._top[key]:
+            # Its next newest live rows take over; only a re-added fact_id pays this scan.
+            for live in self._row_of.values():
+                if (self._facts[live].subject, self._facts[live].relation) == key:
+                    self._promote(live)
 
     def top_k(self, query: str, k: int) -> list[ScoredFact]:
         if k < 1:
             raise ValidationError("k must be >= 1")
-        query_vec = self.embedder.embed(query)
+        vector = self.embedder.embed(query)
         with self._lock:
-            if not self._ids:
-                return []
-            self._refresh()
-            scores = self._matrix @ query_vec
-            # lexsort: last key is primary, so score desc, then seq desc, then id.
-            order = np.lexsort((self._id_array, -self._seqs, -scores))
-            results: list[ScoredFact] = []
-            for row in order:
-                fact = self._facts[self._ids[row]]
-                if self._key_max_seq[(fact.subject, fact.relation)] != fact.seq:
-                    continue  # superseded by a newer edit of the same key
-                results.append(ScoredFact(fact=fact, score=float(scores[row])))
-                if len(results) == k:
-                    break
-            return results
+            hits = [
+                (*self._postings[bucket], count)
+                for bucket, count in zip(vector.ids, vector.counts)
+                if bucket in self._postings
+            ]
+            # Each np.frombuffer view is a temporary that dies inside the lock; one
+            # alive at the next add would make that add's append raise BufferError.
+            none = [np.empty(0, np.intc)]
+            posted = np.concatenate(none + [np.frombuffer(r, np.intc) for r, _, _ in hits])
+            weights = np.concatenate(none + [np.frombuffer(c, np.intc) * q for _, c, q in hits])
+            dots = np.bincount(posted, weights, minlength=len(self._facts))
+            eligible = np.frombuffer(self._eligible, np.bool_).copy()
+            # Integer sums in float64 are exact below 2**53.
+            hit = np.flatnonzero(eligible & (dots > 0))
+            scores = dots[hit] / np.sqrt(np.frombuffer(self._norm2, np.int64)[hit] * vector.norm2)
+            # Float scores only shortlist; the sort below is exact.
+            rows = _shortlist(hit, scores, k, 1e-9)
+            if len(rows) < k:
+                zero = np.flatnonzero(eligible & (dots == 0))
+                seqs = np.frombuffer(self._seqs, np.int64)[zero]
+                rows = np.concatenate([rows, _shortlist(zero, seqs, k - len(rows), 0.0)])
+            ranked = sorted(rows.tolist(), key=lambda r: (
+                -Fraction(int(dots[r]) ** 2, self._norm2[r]),
+                -self._seqs[r],
+                self._facts[r].fact_id,
+            ))[:k]
+            norms = [math.sqrt(self._norm2[r] * vector.norm2) for r in ranked]
+            return [ScoredFact(self._facts[r], float(dots[r]) / n) for r, n in zip(ranked, norms)]

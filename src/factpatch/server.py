@@ -17,9 +17,8 @@ import logging
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from . import __version__
-from .engine import Engine
+from .engine import Engine, prepare_edit
 from .errors import FactPatchError
-from .memory import payload_from_dict
 
 logger = logging.getLogger(__name__)
 
@@ -97,21 +96,13 @@ class ApiHandler(BaseHTTPRequestHandler):
         if not isinstance(payloads, list) or not payloads:
             self._send_error(400, "facts must be a non-empty list")
             return
-        added = []
-        try:
-            parsed = [payload_from_dict(p) for p in payloads]
+        engine = self.server.engine
+        try:  # every fact is checked and embedded before the first is persisted
+            prepared = [prepare_edit(p, engine.index.embedder) for p in payloads]
         except (FactPatchError, TypeError, AttributeError) as exc:
             self._send_error(400, str(exc))
             return
-        for payload in parsed:
-            fact = self.server.engine.add_fact(
-                payload["subject"],
-                payload["relation"],
-                payload["new_object"],
-                old_object=payload.get("old_object"),
-                surface_text=payload.get("surface_text"),
-            )
-            added.append(fact.to_dict())
+        added = [engine.add_fact(**payload).to_dict() for payload in prepared]
         self._send_json(200, {"added": added})
 
     def _handle_query(self) -> None:

@@ -3,9 +3,9 @@
 The embedding oracle below is written from the documented contract only:
 lowercase, split on non-alphanumerics, hash "w:"+token and "t:"+trigram
 features (trigrams over the space-joined token string) with blake2b
-digest_size=8 taken big-endian modulo the bucket count, term-frequency
-weights, L2-normalized float32 (float32 is part of the contract, so the
-oracle uses it too; otherwise rank comparisons would hinge on rounding).
+digest_size=8 taken big-endian modulo the bucket count, integer
+term-frequency counts. Retrieval ranks by cosine in exact rational
+arithmetic, so a tie is a true tie and the documented tie order decides it.
 
 The contrastive scorer oracle is the per-candidate dict-and-loop form of
 ``decoding.adjusted_first_token``; the array scorer must reproduce its
@@ -17,7 +17,10 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -39,40 +42,51 @@ _RELATION_SHAPES = (
 
 
 # Memoized because brute_force_top_ids re-embeds every fact for each query;
-# the vectors are read-only so callers cannot alter a shared result.
+# the mappings are read-only so callers cannot alter a shared result.
 @lru_cache(maxsize=8192)
-def oracle_embed(text: str, buckets: int) -> np.ndarray:
+def oracle_embed(text: str, buckets: int) -> MappingProxyType:
+    """bucket -> count over the text's features."""
     tokens = re.findall(r"[a-z0-9]+", text.lower())
     assert tokens, "oracle cannot embed text without alphanumerics"
     joined = " ".join(tokens)
     features = ["w:" + t for t in tokens]
     features += ["t:" + joined[i : i + 3] for i in range(len(joined) - 2)]
-    vec = np.zeros(buckets, dtype=np.float32)
+    counts: dict[int, int] = {}
     for feature in features:
         digest = hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest()
-        vec[int.from_bytes(digest, "big") % buckets] += 1.0
-    vec = vec / float(np.linalg.norm(vec))
-    vec.flags.writeable = False
-    return vec
+        bucket = int.from_bytes(digest, "big") % buckets
+        counts[bucket] = counts.get(bucket, 0) + 1
+    return MappingProxyType(counts)
+
+
+def oracle_dot(a: Mapping[int, int], b: Mapping[int, int]) -> int:
+    return sum(count * b.get(bucket, 0) for bucket, count in a.items())
+
+
+def oracle_cosine_squared(a: Mapping[int, int], b: Mapping[int, int]) -> Fraction:
+    dot = oracle_dot(a, b)
+    return Fraction(dot * dot, oracle_dot(a, a) * oracle_dot(b, b))
 
 
 def brute_force_top_ids(facts: list[EditFact], query: str, k: int, buckets: int) -> list[str]:
-    """Rank every fact by dot product, break ties by seq desc then fact_id,
-    keep only the newest fact per (subject, relation), return first k ids."""
+    """Rank every fact by exact squared cosine (cosine is never negative here),
+    break ties by seq desc then fact_id, keep only the newest facts per
+    (subject, relation), return the first k ids."""
     query_vec = oracle_embed(query, buckets)
-    matrix = np.stack([oracle_embed(f.surface_text, buckets) for f in facts])
-    scores = matrix @ query_vec
     ranked = sorted(
-        range(len(facts)),
-        key=lambda i: (-scores[i], -facts[i].seq, facts[i].fact_id),
+        facts,
+        key=lambda f: (
+            -oracle_cosine_squared(query_vec, oracle_embed(f.surface_text, buckets)),
+            -f.seq,
+            f.fact_id,
+        ),
     )
     newest: dict[tuple[str, str], int] = {}
     for fact in facts:
         key = (fact.subject, fact.relation)
         newest[key] = max(newest.get(key, -1), fact.seq)
     out: list[str] = []
-    for i in ranked:
-        fact = facts[i]
+    for fact in ranked:
         if newest[(fact.subject, fact.relation)] != fact.seq:
             continue
         out.append(fact.fact_id)

@@ -452,7 +452,9 @@ def test_criterion_11_serve_matches_cli(tmp_path, capsys):
     engine = build_engine(load_config(config_path))
     server = make_server(engine, host="127.0.0.1", port=0)
     host, port = server.server_address[:2]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     try:
         queries = [case.rel_queries[0].query for case in world.cases]

@@ -174,6 +174,29 @@ class TestEdit:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_fact_that_cannot_be_embedded_exits_2_and_persists_nothing(self, capsys, tmp_path):
+        memory = tmp_path / "m.jsonl"
+        base = ["edit", "--memory", str(memory), "--relation", CAPITAL_REL]
+        assert run(capsys, base + ["--subject", "France", "--new-object", "Rome"])[0] == 0
+        before = memory.read_bytes()
+        code, _, err = run(capsys, base + [
+            "--subject", "Italy", "--new-object", "Lyon", "--surface", "???",
+        ])
+        assert code == 2
+        assert "alphanumeric" in err
+        imports = tmp_path / "facts_in.jsonl"
+        imports.write_text(
+            json.dumps({"subject": "Spain", "relation": CAPITAL_REL, "new_object": "Lyon"})
+            + "\n"
+            + json.dumps({"subject": "?", "relation": "{s}", "new_object": "!"})
+            + "\n",
+            encoding="utf-8",
+        )
+        code, _, err = run(capsys, ["edit", "--memory", str(memory), "--import", str(imports)])
+        assert code == 2
+        assert f"{imports}:2" in err
+        assert memory.read_bytes() == before
+
     def test_import_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, [
             "edit", "--memory", str(tmp_path / "m.jsonl"),

@@ -15,7 +15,7 @@ from factpatch.engine import (
 )
 from factpatch.errors import ConfigError, FactPatchError, StorageError
 from factpatch.lm import RemoteLM, ToyLM, save_toy_spec
-from factpatch.retrieval import HashedEmbedder, RemoteEmbedder
+from factpatch.retrieval import DEFAULT_BUCKETS, HashedEmbedder
 from factpatch.selector import RemoteScorer, ScorerParams, save_params
 
 from conftest import capitals_spec
@@ -37,7 +37,7 @@ class TestEngineConfig:
     def test_defaults(self, spec_path):
         config = toy_config(spec_path)
         assert config.retrieval_k == DEFAULT_K
-        assert config.embedder == "builtin"
+        assert config.embedder_buckets == DEFAULT_BUCKETS
         assert config.mode == CONTRAST_FULL
         assert config.alpha == 0.2
 
@@ -45,8 +45,8 @@ class TestEngineConfig:
         "overrides",
         [
             {"retrieval_k": 0},
-            {"embedder": "sparse"},
-            {"embedder": "remote"},  # missing embedder_url
+            {"embedder_buckets": 0},
+            {"lm_kind": "bogus"},
             {"selector_threshold": 0.0},
             {"selector_threshold": 1.0},
             {"alpha": float("nan")},
@@ -177,13 +177,10 @@ class TestBuildEngine:
             lm_kind="remote",
             lm_url="http://127.0.0.1:1",
             lm_model="m",
-            embedder="remote",
-            embedder_url="http://127.0.0.1:2",
             selector_url="http://127.0.0.1:3",
         )
         engine = build_engine(config)
         assert isinstance(engine.lm, RemoteLM)
-        assert isinstance(engine.index.embedder, RemoteEmbedder)
         assert isinstance(engine.scorer, RemoteScorer)
 
     def test_persisted_memory_is_reloaded_and_indexed(self, tmp_path, spec_path):

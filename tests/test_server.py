@@ -19,9 +19,9 @@ from fixture_cases import SUBJECT_GATE
 
 
 @pytest.fixture
-def served():
+def served(tmp_path):
     engine = Engine(
-        store=FactStore(),
+        store=FactStore(tmp_path / "facts.jsonl"),
         index=FactIndex(HashedEmbedder(buckets=256)),
         lm=ToyLM(capitals_spec()),
         scorer=SUBJECT_GATE,
@@ -30,7 +30,10 @@ def served():
         threshold=0.5,
     )
     server = make_server(engine)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll makes shutdown() in teardown return promptly.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     host, port = server.server_address[:2]
     try:
@@ -97,6 +100,23 @@ class TestEdits:
         )
         assert reply.status_code == 400
         assert len(engine.store) == 0
+
+    @pytest.mark.parametrize("body", [
+        dict(FACT, subject="Italy", surface_text="???"),
+        {"facts": [dict(FACT, subject="Italy"), dict(FACT, subject="Spain", surface_text="???")]},
+    ], ids=["single", "bulk"])
+    def test_fact_that_cannot_be_embedded_is_400_and_persists_nothing(
+        self, served, tmp_path, body
+    ):
+        url, engine = served
+        assert requests.post(f"{url}/edits", json=FACT, timeout=5).status_code == 200
+        before = (tmp_path / "facts.jsonl").read_bytes()
+        reply = requests.post(f"{url}/edits", json=body, timeout=5)
+        assert reply.status_code == 400
+        assert "alphanumeric" in reply.json()["error"]
+        assert (tmp_path / "facts.jsonl").read_bytes() == before
+        assert len(engine.store) == 1
+        assert len(engine.index) == 1
 
     def test_empty_facts_list_rejected(self, served):
         url, _ = served

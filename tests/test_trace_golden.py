@@ -73,7 +73,9 @@ def test_ask_trace_file_matches_golden(capsys, tmp_path, config_path):
 )
 def test_server_trace_reply_matches_golden(config_path, overrides, golden_name):
     server = make_server(build_engine(load_config(config_path)))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     host, port = server.server_address[:2]
     try:
