@@ -42,7 +42,7 @@ from .evalharness import (
 from .lm import RemoteLM, TokenDistribution, ToyLM, ToyLmSpec, load_toy_spec
 from .memory import EditFact, FactStore, load_facts
 from .retrieval import FactIndex, HashedEmbedder
-from .selector import RemoteScorer, ScorerParams, select, train
+from .selector import ScorerParams, select, train
 
 __all__ = [
     "__version__",
@@ -65,7 +65,6 @@ __all__ = [
     "PipelineError",
     "QueryExpectation",
     "RemoteLM",
-    "RemoteScorer",
     "ScorerParams",
     "StorageError",
     "TARGET_SUPPRESS",

@@ -50,14 +50,12 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     add("--selector-params", dest="selector_params_path", help="trained selector weights JSON")
     add("--threshold", dest="selector_threshold", type=float,
         help="selection probability threshold")
-    add("--selector-url", dest="selector_url", help="remote selector endpoint")
     add("--lm", dest="lm_kind", choices=["toy", "remote"], help="language model kind")
     add("--lm-spec", dest="lm_spec_path", help="toy lm spec JSON path")
     add("--lm-url", dest="lm_url", help="remote lm endpoint")
     add("--lm-model", dest="lm_model", help="remote lm model name")
     add("--lm-top-n", dest="lm_top_n", type=int, help="logprobs requested per step")
     add("--lm-auth-env", dest="lm_auth_token_env", help="env var holding the lm bearer token")
-    add("--lm-logprob-base", dest="lm_logprob_base", choices=["natural", "log2", "log10"])
     add("--alpha", dest="alpha", type=float, help="contrast strength")
     add("--mode", dest="mode", choices=["contrast-full", "target-suppress"])
     add("--max-answer-tokens", dest="max_answer_tokens", type=int)
@@ -215,12 +213,14 @@ def _cmd_train_selector(args: argparse.Namespace) -> int:
     holdout_idx, train_idx = order[:n_holdout], order[n_holdout:]
     if train_idx.size == 0 or len(set(labels[train_idx])) < 2:
         raise ConfigError("not enough training pairs after the holdout split")
-    params, losses = fit(
+    params, _ = fit(
         features[train_idx], labels[train_idx],
         epochs=args.epochs, learning_rate=args.learning_rate,
         batch_size=args.batch_size, seed=args.seed,
     )
-    print(f"trained on {train_idx.size} pairs, final loss {losses[-1]:.4f}")
+    # Zero epochs return the initial parameters and no per-epoch losses.
+    train_loss = bce_loss(params, features[train_idx], labels[train_idx])
+    print(f"trained on {train_idx.size} pairs, final loss {train_loss:.4f}")
     if n_holdout:
         probs = sigmoid(features[holdout_idx] @ params.weights + params.bias)
         accuracy = float(np.mean((probs > 0.5) == (labels[holdout_idx] > 0.5)))

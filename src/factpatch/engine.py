@@ -23,12 +23,7 @@ from .files import read_object
 from .lm import RemoteLM, ToyLM, load_toy_spec
 from .memory import EditFact, FactStore, payload_from_dict, render_surface
 from .retrieval import DEFAULT_BUCKETS, FactIndex, HashedEmbedder
-from .selector import (
-    DEFAULT_THRESHOLD,
-    RemoteScorer,
-    ScorerParams,
-    load_params,
-)
+from .selector import DEFAULT_THRESHOLD, ScorerParams, load_params
 
 DEFAULT_K = 5
 
@@ -40,14 +35,12 @@ class EngineConfig:
     embedder_buckets: int = DEFAULT_BUCKETS
     selector_params_path: str | None = None
     selector_threshold: float = DEFAULT_THRESHOLD
-    selector_url: str | None = None
     lm_kind: str = "toy"
     lm_spec_path: str | None = None
     lm_url: str | None = None
     lm_model: str | None = None
     lm_top_n: int = 20
     lm_auth_token_env: str | None = None
-    lm_logprob_base: str = "natural"
     alpha: float = DEFAULT_ALPHA
     mode: str = CONTRAST_FULL
     max_answer_tokens: int = DEFAULT_MAX_ANSWER_TOKENS
@@ -80,11 +73,9 @@ class EngineConfig:
 
 _SECTION_KEYS = {
     "retrieval": {"k": "retrieval_k", "buckets": "embedder_buckets"},
-    "selector": {"params_path": "selector_params_path",
-                 "threshold": "selector_threshold", "url": "selector_url"},
+    "selector": {"params_path": "selector_params_path", "threshold": "selector_threshold"},
     "lm": {"kind": "lm_kind", "spec_path": "lm_spec_path", "url": "lm_url",
-           "model": "lm_model", "top_n": "lm_top_n",
-           "auth_token_env": "lm_auth_token_env", "logprob_base": "lm_logprob_base"},
+           "model": "lm_model", "top_n": "lm_top_n", "auth_token_env": "lm_auth_token_env"},
     "decode": {"alpha": "alpha", "mode": "mode",
                "max_answer_tokens": "max_answer_tokens",
                "instruction_template": "instruction_template"},
@@ -227,9 +218,7 @@ def build_engine(config: EngineConfig, *, in_memory: bool = False) -> Engine:
     index = FactIndex(HashedEmbedder(buckets=config.embedder_buckets))
     for fact in store.snapshot():
         index.add(fact)
-    if config.selector_url:
-        scorer = RemoteScorer(config.selector_url)
-    elif config.selector_params_path:
+    if config.selector_params_path:
         scorer = load_params(config.selector_params_path)
     else:
         scorer = ScorerParams.untrained()
@@ -239,7 +228,6 @@ def build_engine(config: EngineConfig, *, in_memory: bool = False) -> Engine:
             config.lm_model,
             top_n=config.lm_top_n,
             auth_token_env=config.lm_auth_token_env,
-            logprob_base=config.lm_logprob_base,
         )
     else:
         lm = ToyLM(load_toy_spec(config.lm_spec_path))

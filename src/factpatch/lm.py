@@ -42,7 +42,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import requests
 
@@ -56,6 +56,7 @@ _WORD_RE = re.compile(r"[A-Za-z0-9]+")
 
 _RULE_SUM_TOLERANCE = 1e-9
 _COMPLETE_TOLERANCE = 1e-6
+_STOP_TOKENS = frozenset({"\n", "</s>", "<|endoftext|>"})
 
 
 @dataclass(frozen=True)
@@ -308,8 +309,8 @@ class RemoteLM:
     Request: POST ``{base_url}`` with ``{"model", "prompt", "max_tokens",
     "logprobs"}``; the response must carry
     ``choices[0].logprobs.top_logprobs`` (a list with one mapping per
-    generated position). Responses without log-probabilities raise
-    CapabilityError. Transient failures are retried with exponential
+    generated position), in natural log. Responses without log-probabilities
+    raise CapabilityError. Transient failures are retried with exponential
     backoff; the final failure carries attempt metadata.
 
     ``first_token_of`` asks the endpoint to tokenize by echoing the answer
@@ -328,26 +329,19 @@ class RemoteLM:
         retries: int = 3,
         backoff: float = 0.5,
         auth_token_env: str | None = None,
-        logprob_base: str = "natural",
-        stop_tokens: Sequence[str] = ("\n", "</s>", "<|endoftext|>"),
         session: requests.Session | None = None,
     ):
         if top_n < 1:
             raise ValidationError("top_n must be >= 1")
-        bases = {"natural": 1.0, "log2": math.log(2.0), "log10": math.log(10.0)}
-        if logprob_base not in bases:
-            raise ConfigError(f"unknown logprob base {logprob_base!r}")
         self.url = url
         self.model = model
         self.top_n = top_n
         self.timeout = timeout
         self.retries = max(1, retries)
         self.backoff = backoff
-        self._scale = bases[logprob_base]
         self._auth_token = os.environ.get(auth_token_env) if auth_token_env else None
         if auth_token_env and self._auth_token is None:
             raise ConfigError(f"auth token environment variable {auth_token_env!r} is not set")
-        self._stop_tokens = set(stop_tokens)
         self._session = session or requests.Session()
         self.first_token_convention = "endpoint-tokenizer"
 
@@ -407,9 +401,7 @@ class RemoteLM:
         logprobs = (choice.get("logprobs") or {}).get("top_logprobs")
         if not logprobs or not isinstance(logprobs[0], dict) or not logprobs[0]:
             raise CapabilityError("model endpoint did not return token log-probabilities")
-        entries = {
-            str(token): min(0.0, float(lp) * self._scale) for token, lp in logprobs[0].items()
-        }
+        entries = {str(token): min(0.0, float(lp)) for token, lp in logprobs[0].items()}
         ordered = dict(sorted(entries.items(), key=lambda kv: (-kv[1], kv[0])))
         return TokenDistribution(entries=ordered, complete=False)
 
@@ -447,7 +439,7 @@ class RemoteLM:
         while len(pieces) < max_tokens:
             dist = self.next_token_distribution(prompt + "".join(pieces))
             token = dist.argmax()
-            if token in self._stop_tokens or not token.strip():
+            if token in _STOP_TOKENS or not token.strip():
                 break
             pieces.append(token)
         return "".join(pieces).strip()

@@ -24,9 +24,8 @@ from math import sqrt
 from typing import Sequence
 
 import numpy as np
-import requests
 
-from .errors import BackendError, ConfigError, ValidationError
+from .errors import ConfigError, ValidationError
 from .files import read_object, write_json
 from .memory import SUBJECT_PLACEHOLDER, EditFact
 from .retrieval import ScoredFact, tokenize
@@ -137,9 +136,9 @@ def select(
 ) -> list[SelectionDecision]:
     """Score every candidate; selection requires probability strictly above threshold.
 
-    ``scorer`` is anything with ``probabilities(query, facts)``: trained
-    ``ScorerParams`` or a ``RemoteScorer``. Decisions come back in candidate
-    (retrieval) order, so the selected subset preserves it too. A
+    ``scorer`` is anything with ``probabilities(query, facts)``, such as
+    trained ``ScorerParams``. Decisions come back in candidate (retrieval)
+    order, so the selected subset preserves it too. A
     probability of exactly ``threshold`` is not selected: untrained all-zero
     parameters score 0.5 everywhere and select nothing.
     """
@@ -310,45 +309,3 @@ def load_params(path: str | os.PathLike[str]) -> ScorerParams:
         )
 
     return read_object(path, decode)
-
-
-class RemoteScorer:
-    """Client for an HTTP relevance endpoint.
-
-    Protocol: POST ``{"query": ..., "facts": [...]}``, response
-    ``{"probabilities": [...]}`` aligned with the request order.
-    Thresholding stays local.
-    """
-
-    def __init__(self, url: str, timeout: float = 10.0, session: requests.Session | None = None):
-        self.url = url
-        self.timeout = timeout
-        self._session = session or requests.Session()
-
-    def probabilities(self, query: str, facts: Sequence[EditFact]) -> list[float]:
-        payload = {
-            "query": query,
-            "facts": [
-                {
-                    "subject": f.subject,
-                    "relation": f.relation,
-                    "new_object": f.new_object,
-                    "surface_text": f.surface_text,
-                }
-                for f in facts
-            ],
-        }
-        try:
-            response = self._session.post(self.url, json=payload, timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise BackendError(f"scorer request to {self.url} failed: {exc}") from exc
-        if response.status_code != 200:
-            raise BackendError(
-                f"scorer endpoint returned HTTP {response.status_code}",
-                last_status=response.status_code,
-            )
-        body = response.json()
-        probs = body.get("probabilities")
-        if not isinstance(probs, list) or len(probs) != len(facts):
-            raise BackendError("scorer response does not align with request")
-        return [float(p) for p in probs]

@@ -7,7 +7,9 @@ Routes:
                   "trace"?}
     GET  /health  liveness and version
 
-Malformed requests get 400 with {"error": reason}.
+Every request gets a status and, on failure, {"error": reason}: 400 for a
+request the server rejects, 502 when the model endpoint fails, and 500 for
+anything else, which is also logged with its traceback.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from . import __version__
 from .engine import Engine, prepare_edit
-from .errors import FactPatchError
+from .errors import BackendError, CapabilityError, FactPatchError, PipelineError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -69,18 +71,24 @@ class ApiHandler(BaseHTTPRequestHandler):
             return None
 
     def do_GET(self) -> None:
-        if self.path == "/health":
-            self._send_json(200, {"status": "ok", "version": __version__})
-        else:
-            self._send_error(404, f"unknown path {self.path}")
+        self._route({"/health": self._handle_health})
 
     def do_POST(self) -> None:
-        if self.path == "/edits":
-            self._handle_edits()
-        elif self.path == "/query":
-            self._handle_query()
-        else:
+        self._route({"/edits": self._handle_edits, "/query": self._handle_query})
+
+    def _route(self, routes: dict) -> None:
+        handle = routes.get(self.path)
+        if handle is None:
             self._send_error(404, f"unknown path {self.path}")
+            return
+        try:
+            handle()
+        except Exception as exc:
+            logger.exception("%s %s failed", self.command, self.path)
+            self._send_error(500, f"internal error: {exc}")
+
+    def _handle_health(self) -> None:
+        self._send_json(200, {"status": "ok", "version": __version__})
 
     def _handle_edits(self) -> None:
         body = self._read_body()
@@ -121,8 +129,13 @@ class ApiHandler(BaseHTTPRequestHandler):
                 overrides[key] = body[key]
         try:
             text, trace = self.server.engine.answer(body["query"], **overrides)
-        except FactPatchError as exc:
+        except ValidationError as exc:
             self._send_error(400, str(exc))
+            return
+        except PipelineError as exc:
+            if not isinstance(exc.cause, (BackendError, CapabilityError)):
+                raise
+            self._send_error(502, str(exc))
             return
         reply = {
             "answer": text,

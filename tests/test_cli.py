@@ -1,12 +1,17 @@
 """Command line flows, driven through main() in-process. No subprocesses."""
 
+import argparse
 import csv
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from factpatch import __version__
-from factpatch.cli import main
+from factpatch.cli import build_parser, main
+from factpatch.engine import _SECTION_KEYS, _TOP_KEYS, EngineConfig, flatten_config
 from factpatch.evalharness import save_cases
 from factpatch.lm import save_toy_spec
 from factpatch.memory import FactStore
@@ -329,6 +334,29 @@ class TestAsk:
         code, out, _ = run(capsys, ask + ["--lm-spec", spec_path, "--k", "2"])
         assert (code, out.strip()) == (0, "Rome of course")
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("selector", "url", "http://127.0.0.1:3"),
+        ("lm", "logprob_base", "log2"),
+    ], ids=["selector.url", "lm.logprob_base"])
+    def test_removed_remote_config_keys_exit_2(self, capsys, tmp_path, spec_path,
+                                               section, key, value):
+        body = {"lm": {"kind": "toy", "spec_path": spec_path}}
+        body.setdefault(section, {})[key] = value
+        config = write_config(tmp_path, **body)
+        code, _, err = run(capsys, ["ask", "anything", "--config", config])
+        assert code == 2
+        assert f"unknown config key {section}.{key}" in err
+
+    @pytest.mark.parametrize("flag", [
+        ["--selector-url", "http://127.0.0.1:3"],
+        ["--lm-logprob-base", "log2"],
+    ], ids=["selector-url", "lm-logprob-base"])
+    def test_removed_remote_flags_are_usage_errors(self, capsys, ask_config, flag):
+        with pytest.raises(SystemExit) as info:
+            main(["ask", "anything", "--config", ask_config, *flag])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [["--k", "-1"], ["--alpha", "inf"], ["--alpha", "nan"]])
     def test_negative_k_and_non_finite_alpha_exit_2(self, capsys, ask_config, flags):
         code, _, err = run(capsys, ["ask", "What is the capital of France?",
@@ -521,6 +549,17 @@ class TestTrainSelector:
             ])
         assert paths[0].read_bytes() != paths[1].read_bytes()
 
+    def test_zero_epochs_write_the_initial_weights(self, capsys, tmp_path, training_cases):
+        out = tmp_path / "params.json"
+        code, stdout, _ = run(capsys, [
+            "train-selector", "--cases", training_cases, "--out", str(out), "--epochs", "0",
+        ])
+        assert code == 0
+        assert "final loss 0.6931" in stdout
+        params = load_params(out)
+        assert params.weights.tolist() == [0.0] * 5
+        assert params.bias == 0.0
+
     def test_positives_only_exits_2(self, capsys, tmp_path, training_cases):
         code, _, err = run(capsys, [
             "train-selector", "--cases", training_cases,
@@ -528,3 +567,48 @@ class TestTrainSelector:
         ])
         assert code == 2
         assert "training pairs" in err
+
+
+# ── config surface ──
+
+CONFIG_FIELDS = sorted(f.name for f in dataclasses.fields(EngineConfig))
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def engine_flag_dests(command: str) -> list[str]:
+    """The dests of the engine flags one subcommand takes, in parser order."""
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    own = {"ask": {"query", "trace"}, "serve": {"host", "port"},
+           "eval": {"cases", "format", "checkpoints", "out_dir", "sweep", "values"}}[command]
+    return [a.dest for a in subparsers.choices[command]._actions
+            if a.dest not in own | {"help", "config"}]
+
+
+def readme_config() -> dict:
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Configuration"):]
+    return json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+
+
+class TestConfigSurface:
+    """Flags, config keys and the README sample each cover every EngineConfig
+    field exactly once."""
+
+    @pytest.mark.parametrize("command", ["ask", "eval", "serve"])
+    def test_engine_flags_match_the_fields(self, command):
+        assert sorted(engine_flag_dests(command)) == CONFIG_FIELDS
+
+    def test_config_keys_match_the_fields(self):
+        targets = [*_TOP_KEYS, *(f for keys in _SECTION_KEYS.values() for f in keys.values())]
+        assert sorted(targets) == CONFIG_FIELDS
+
+    def test_readme_sample_names_every_field_once(self):
+        sample = readme_config()
+        n_keys = sum(len(v) if isinstance(v, dict) else 1 for v in sample.values())
+        flat = flatten_config(sample)
+        assert len(flat) == n_keys
+        assert sorted(flat) == CONFIG_FIELDS
+        defaults = {f.name: f.default for f in dataclasses.fields(EngineConfig)}
+        del flat["instruction_template"], defaults["instruction_template"]
+        assert flat == defaults

@@ -20,11 +20,10 @@ from factpatch.errors import PipelineError, ValidationError
 from factpatch.lm import ToyLM, ToyLmSpec, ToyRule, TokenDistribution, greedy_answer
 from factpatch.memory import EditFact, FactStore, render_surface
 from factpatch.retrieval import FactIndex, HashedEmbedder
-from factpatch.selector import RemoteScorer, ScorerParams
+from factpatch.selector import ScorerParams
 
 from conftest import capitals_spec
 from oracles import loop_adjusted_first_token
-from stubserver import StubServer
 
 INSTR = "Use the statements above when answering the question below."
 
@@ -494,29 +493,32 @@ class TestAnswerPipeline:
         assert scorer.calls == 1
         assert not trace.fallback_used
 
-    def test_remote_scorer_end_to_end_thresholds_locally(self, capitals_lm):
+    def test_scorer_probabilities_are_thresholded_end_to_end(self, capitals_lm):
         france, italy = capital_fact(), italy_fact()
         index = build_pipeline(capitals_lm, [france, italy])
 
-        def respond(path, body, hits):
-            # Italy's fact scores exactly the threshold, which does not select.
-            return 200, {"probabilities": [0.9 if f["subject"] == "France" else 0.5
-                                           for f in body["facts"]]}
+        class SubjectScorer:
+            def __init__(self):
+                self.requests = []
+
+            def probabilities(self, query, facts):
+                self.requests.append((query, list(facts)))
+                # Italy's fact scores exactly the threshold, which does not select.
+                return [0.9 if f.subject == "France" else 0.5 for f in facts]
 
         query = "The capital of France is"
-        with StubServer(respond) as stub:
-            scorer = RemoteScorer(stub.url)
-            text, trace = answer(capitals_lm, index, scorer, query, threshold=0.5)
-            assert text == "Rome of course"
-            assert trace.selected_fact_ids == [france.fact_id]
-            sent = stub.requests[0][1]
-            assert sent["query"] == query
-            assert sorted(f["subject"] for f in sent["facts"]) == ["France", "Italy"]
+        scorer = SubjectScorer()
+        text, trace = answer(capitals_lm, index, scorer, query, threshold=0.5)
+        assert text == "Rome of course"
+        assert trace.selected_fact_ids == [france.fact_id]
+        sent_query, sent_facts = scorer.requests[0]
+        assert sent_query == query
+        assert sorted(f.subject for f in sent_facts) == ["France", "Italy"]
 
-            text, trace = answer(capitals_lm, index, scorer, query, threshold=0.95)
-            assert text == "Paris is the answer"
-            assert trace.fallback_used
-            assert len(stub.requests) == 2
+        text, trace = answer(capitals_lm, index, scorer, query, threshold=0.95)
+        assert text == "Paris is the answer"
+        assert trace.fallback_used
+        assert len(scorer.requests) == 2
 
     def test_trace_saves_as_json(self, capitals_lm, tmp_path):
         index = build_pipeline(capitals_lm, [capital_fact()])

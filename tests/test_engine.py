@@ -16,7 +16,7 @@ from factpatch.engine import (
 from factpatch.errors import ConfigError, FactPatchError, StorageError
 from factpatch.lm import RemoteLM, ToyLM, save_toy_spec
 from factpatch.retrieval import DEFAULT_BUCKETS, HashedEmbedder
-from factpatch.selector import RemoteScorer, ScorerParams, save_params
+from factpatch.selector import ScorerParams, save_params
 
 from conftest import capitals_spec
 from fixture_cases import SUBJECT_GATE
@@ -109,6 +109,19 @@ class TestConfigFiles:
         with pytest.raises(ConfigError):
             flatten_config({"retrieval": {"kay": 5}})
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("selector", "url", "http://127.0.0.1:3"),
+        ("lm", "logprob_base", "log2"),
+    ], ids=["selector.url", "lm.logprob_base"])
+    def test_removed_remote_settings_are_unknown_keys(self, tmp_path, spec_path,
+                                                      section, key, value):
+        body = {"lm": {"spec_path": str(spec_path)}}
+        body.setdefault(section, {})[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(body), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"unknown config key {section}.{key}"):
+            load_config(path)
+
     def test_section_must_be_object(self):
         with pytest.raises(ConfigError):
             flatten_config({"retrieval": 5})
@@ -173,15 +186,9 @@ class TestBuildEngine:
         assert engine.scorer.bias == 0.0
 
     def test_remote_components_construct_without_network(self, spec_path):
-        config = EngineConfig(
-            lm_kind="remote",
-            lm_url="http://127.0.0.1:1",
-            lm_model="m",
-            selector_url="http://127.0.0.1:3",
-        )
+        config = EngineConfig(lm_kind="remote", lm_url="http://127.0.0.1:1", lm_model="m")
         engine = build_engine(config)
         assert isinstance(engine.lm, RemoteLM)
-        assert isinstance(engine.scorer, RemoteScorer)
 
     def test_persisted_memory_is_reloaded_and_indexed(self, tmp_path, spec_path):
         memory = tmp_path / "facts.jsonl"

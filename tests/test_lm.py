@@ -314,22 +314,6 @@ class TestRemoteLm:
             dist = RemoteLM(stub.url, "m", retries=1).next_token_distribution("p")
             assert dist.entries[" a"] == 0.0
 
-    @pytest.mark.parametrize(
-        "base,factor", [("log2", math.log(2.0)), ("log10", math.log(10.0))]
-    )
-    def test_logprob_base_rescaled_to_natural(self, base, factor):
-        def respond(path, body, hits):
-            return 200, completion(top_logprobs=[{" a": -1.0}])
-
-        with StubServer(respond) as stub:
-            lm = RemoteLM(stub.url, "m", retries=1, logprob_base=base)
-            dist = lm.next_token_distribution("p")
-            assert dist.entries[" a"] == pytest.approx(-factor, abs=1e-12)
-
-    def test_unknown_logprob_base_rejected(self):
-        with pytest.raises(ConfigError):
-            RemoteLM("http://x", "m", logprob_base="bits")
-
     def test_missing_logprobs_is_capability_error(self):
         with StubServer(lambda p, b, h: (200, {"choices": [{"text": "hi"}]})) as stub:
             with pytest.raises(CapabilityError):

@@ -1,4 +1,4 @@
-"""Pair features, logistic scorer, training loop, and the remote scorer client."""
+"""Pair features, logistic scorer, selection thresholds and the training loop."""
 
 import math
 
@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factpatch.errors import BackendError, ConfigError, ParseError, ValidationError
+from factpatch.errors import ConfigError, ParseError, ValidationError
 from factpatch.evalharness import EvalCase, QueryExpectation
 from factpatch.memory import EditFact, render_surface
 from factpatch.selector import (
     FEATURE_VERSION,
     N_FEATURES,
-    RemoteScorer,
     ScorerParams,
     TrainingPair,
     bce_gradient,
@@ -28,8 +27,6 @@ from factpatch.selector import (
     sigmoid,
     train,
 )
-
-from stubserver import StubServer
 
 
 def make_fact(subject: str = "Mexico", relation: str = "Who leads {s}",
@@ -165,6 +162,15 @@ class TestSelect:
         facts = [make_fact(subject=s, seq=i) for i, s in enumerate(["A", "Mexico", "B"])]
         decisions = select(params, "Who leads Mexico?", facts)
         assert [d.fact.subject for d in decisions] == ["A", "Mexico", "B"]
+
+    def test_select_applies_threshold_to_any_scorer(self):
+        class FixedScorer:
+            def probabilities(self, query, facts):
+                return [0.9, 0.5, 0.2]
+
+        facts = [make_fact(seq=i, subject=f"S{i}") for i in range(3)]
+        decisions = select(FixedScorer(), "q", facts, threshold=0.5)
+        assert [d.selected for d in decisions] == [True, False, False]
 
     def test_bad_threshold_rejected(self):
         for t in (0.0, 1.0, -0.2, 1.7):
@@ -340,39 +346,3 @@ class TestParamsPersistence:
         path.write_text("{oops", encoding="utf-8")
         with pytest.raises(ParseError):
             load_params(path)
-
-
-class TestRemoteScorer:
-    def test_probabilities_sent_and_parsed(self):
-        def respond(path, body, hits):
-            return 200, {"probabilities": [0.9, 0.1][: len(body["facts"])]}
-
-        with StubServer(respond) as stub:
-            scorer = RemoteScorer(stub.url)
-            facts = [make_fact(), make_fact(subject="Canada", seq=1)]
-            probs = scorer.probabilities("Who leads Mexico?", facts)
-            assert probs == [0.9, 0.1]
-            sent = stub.requests[0][1]
-            assert sent["query"] == "Who leads Mexico?"
-            assert len(sent["facts"]) == 2
-            assert sent["facts"][0]["subject"] == "Mexico"
-
-    def test_select_applies_threshold_locally(self):
-        def respond(path, body, hits):
-            return 200, {"probabilities": [0.9, 0.5, 0.2]}
-
-        with StubServer(respond) as stub:
-            scorer = RemoteScorer(stub.url)
-            facts = [make_fact(seq=i, subject=f"S{i}") for i in range(3)]
-            decisions = select(scorer, "q", facts, threshold=0.5)
-            assert [d.selected for d in decisions] == [True, False, False]
-
-    def test_misaligned_response_rejected(self):
-        with StubServer(lambda p, b, h: (200, {"probabilities": [0.9]})) as stub:
-            with pytest.raises(BackendError):
-                RemoteScorer(stub.url).probabilities("q", [make_fact(), make_fact(seq=1)])
-
-    def test_http_error_surfaces(self):
-        with StubServer(lambda p, b, h: (503, {"error": "down"})) as stub:
-            with pytest.raises(BackendError):
-                RemoteScorer(stub.url).probabilities("q", [make_fact()])

@@ -1,6 +1,9 @@
 """HTTP endpoint behavior over a real loopback socket."""
 
+import contextlib
 import json
+import logging
+import socket
 import threading
 
 import pytest
@@ -9,26 +12,30 @@ import requests
 import factpatch
 from factpatch.engine import Engine
 from factpatch.decoding import DecodePlan
-from factpatch.lm import ToyLM
+from factpatch.lm import RemoteLM, ToyLM
 from factpatch.memory import FactStore
 from factpatch.retrieval import FactIndex, HashedEmbedder
 from factpatch.server import make_server
 
 from conftest import capitals_spec
 from fixture_cases import SUBJECT_GATE
+from stubserver import StubServer
 
 
-@pytest.fixture
-def served(tmp_path):
-    engine = Engine(
-        store=FactStore(tmp_path / "facts.jsonl"),
+def make_engine(memory_path, lm=None, scorer=SUBJECT_GATE) -> Engine:
+    return Engine(
+        store=FactStore(memory_path),
         index=FactIndex(HashedEmbedder(buckets=256)),
-        lm=ToyLM(capitals_spec()),
-        scorer=SUBJECT_GATE,
+        lm=lm or ToyLM(capitals_spec()),
+        scorer=scorer,
         plan=DecodePlan(alpha=0.2),
         k=5,
         threshold=0.5,
     )
+
+
+@contextlib.contextmanager
+def serving(engine):
     server = make_server(engine)
     # A short poll makes shutdown() in teardown return promptly.
     thread = threading.Thread(
@@ -37,10 +44,17 @@ def served(tmp_path):
     thread.start()
     host, port = server.server_address[:2]
     try:
-        yield f"http://{host}:{port}", engine
+        yield f"http://{host}:{port}"
     finally:
         server.shutdown()
         server.server_close()
+
+
+@pytest.fixture
+def served(tmp_path):
+    engine = make_engine(tmp_path / "facts.jsonl")
+    with serving(engine) as url:
+        yield url, engine
 
 
 FACT = {
@@ -138,6 +152,17 @@ class TestEdits:
         )
         assert reply.status_code == 400
         assert "invalid JSON" in reply.json()["error"]
+
+    def test_storage_failure_is_a_logged_500(self, tmp_path, caplog):
+        engine = make_engine(tmp_path / "missing-dir" / "facts.jsonl")
+        with serving(engine) as url, caplog.at_level(logging.ERROR, "factpatch.server"):
+            reply = requests.post(f"{url}/edits", json=FACT, timeout=5)
+            assert reply.status_code == 500
+            assert "could not persist fact" in reply.json()["error"]
+            # The connection stays usable after the failure.
+            assert requests.get(f"{url}/health", timeout=5).status_code == 200
+        assert any(r.exc_info and "POST /edits" in r.getMessage() for r in caplog.records)
+        assert len(engine.store) == 0
 
 
 class TestQuery:
@@ -248,6 +273,39 @@ class TestQuery:
                               headers={"Content-Type": "application/json"}, timeout=5)
         assert reply.status_code == 400
         assert "error" in reply.json()
+
+    @pytest.mark.parametrize("endpoint", ["unreachable", "no-logprobs"])
+    def test_model_endpoint_failure_is_502(self, tmp_path, endpoint):
+        with contextlib.ExitStack() as stack:
+            if endpoint == "unreachable":
+                with socket.socket() as sock:  # a port nothing listens on
+                    sock.bind(("127.0.0.1", 0))
+                    model_url = "http://127.0.0.1:%d" % sock.getsockname()[1]
+            else:
+                stub = stack.enter_context(
+                    StubServer(lambda p, b, h: (200, {"choices": [{"text": "x"}]}))
+                )
+                model_url = stub.url
+            lm = RemoteLM(model_url, "m", retries=1, timeout=5)
+            url = stack.enter_context(serving(make_engine(tmp_path / "facts.jsonl", lm=lm)))
+            reply = requests.post(f"{url}/query", json={"query": "What color is the sky"},
+                                  timeout=10)
+        assert reply.status_code == 502
+        assert reply.json()["error"].startswith("decode: ")
+
+    def test_unexpected_pipeline_fault_is_500(self, tmp_path, caplog):
+        class BrokenScorer:
+            def probabilities(self, query, facts):
+                raise RuntimeError("scorer bug")
+
+        engine = make_engine(tmp_path / "facts.jsonl", scorer=BrokenScorer())
+        engine.add_fact("France", "The capital of {s} is", "Rome")
+        with serving(engine) as url, caplog.at_level(logging.ERROR, "factpatch.server"):
+            reply = requests.post(f"{url}/query", json={"query": "The capital of France is"},
+                                  timeout=5)
+        assert reply.status_code == 500
+        assert "scorer bug" in reply.json()["error"]
+        assert any(r.exc_info for r in caplog.records)
 
     def test_unknown_post_path_is_404(self, served):
         url, _ = served
