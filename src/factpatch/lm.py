@@ -41,7 +41,7 @@ import os
 import re
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Mapping
 
 import requests
@@ -88,7 +88,12 @@ class TokenDistribution:
 
     def argmax(self) -> str:
         """Highest-probability token; ties break toward the lexicographically smallest."""
-        return min(self.entries.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+        return self._argmax
+
+    @cached_property
+    def _argmax(self) -> str:
+        best = max(self.entries.values())
+        return min(t for t, lp in self.entries.items() if lp == best)
 
 
 def greedy_answer(lm, prompt: str, max_tokens: int) -> str:
@@ -199,8 +204,9 @@ def save_toy_spec(spec: ToyLmSpec, path: str | os.PathLike[str]) -> None:
 class _ToyTables:
     """A toy spec's lookup tables and the model arithmetic over them.
 
-    ToyLM's caches wrap these methods, not its own: a cache holding the
-    ToyLM would form a cycle, freed only when the cycle collector runs.
+    A prompt's distribution depends only on its ``key``: the matched rule and
+    the asserted answer (None if none, or if beta is 0). So ``build`` sees at
+    most rules * (vocabulary + 1) + 1 keys, however many prompts there are.
     """
 
     def __init__(self, spec: ToyLmSpec):
@@ -209,7 +215,6 @@ class _ToyTables:
         self.rules_lower = [
             (r.subject.lower(), tuple(k.lower() for k in r.keywords)) for r in spec.rules
         ]
-        self.priors: dict[int, dict[str, float]] = {}
 
     def match_rule(self, tail_lower: str) -> int | None:
         for index, (subject, keywords) in enumerate(self.rules_lower):
@@ -218,66 +223,66 @@ class _ToyTables:
         return None
 
     def rule_prior(self, index: int) -> dict[str, float]:
-        if index not in self.priors:
-            rule = self.spec.rules[index]
-            probs: dict[str, float] = {
-                t: p for t, p in rule.answers.items() if t != RESIDUAL_KEY and p > 0
-            }
-            residual = rule.answers.get(RESIDUAL_KEY, 0.0)
-            if residual > 0:
-                rest = [t for t in self.spec.vocabulary if t not in rule.answers]
-                share = residual / len(rest)
-                for token in rest:
-                    probs[token] = share
-            self.priors[index] = probs
-        return self.priors[index]
+        rule = self.spec.rules[index]
+        probs = {t: p for t, p in rule.answers.items() if t != RESIDUAL_KEY and p > 0}
+        residual = rule.answers.get(RESIDUAL_KEY, 0.0)
+        if residual > 0:
+            rest = [t for t in self.spec.vocabulary if t not in rule.answers]
+            share = residual / len(rest)
+            for token in rest:
+                probs[token] = share
+        return probs
 
-    def asserted_answer(self, lines: tuple[str, ...], subject_lower: str) -> str | None:
+    def asserted_answer(self, lines: list[str], subject_lower: str) -> str | None:
         """Asserted answer from the first earlier line naming the subject and a vocab token."""
         for line in lines:
             lowered = line.lower()
             if subject_lower not in lowered:
                 continue
-            asserted = None
-            for word in _WORD_RE.findall(lowered):
-                if word in self.vocab_by_lower:
-                    asserted = self.vocab_by_lower[word]
-            if asserted is not None:
-                return asserted
+            asserted = [w for w in _WORD_RE.findall(lowered) if w in self.vocab_by_lower]
+            if asserted:
+                return self.vocab_by_lower[asserted[-1]]
         return None
 
-    def distribution(self, match_rule, prompt: str) -> TokenDistribution:
+    def key(self, match_rule, prompt: str) -> tuple[int | None, str | None]:
         lines = [line for line in prompt.split("\n") if line.strip()]
-        tail = lines[-1]
-        rule_index = match_rule(tail.lower())
+        rule_index = match_rule(lines[-1].lower())
+        if rule_index is None or self.spec.beta == 0.0:
+            return rule_index, None
+        return rule_index, self.asserted_answer(lines[:-1], self.rules_lower[rule_index][0])
+
+    def build(self, rule_index: int | None, asserted: str | None) -> TokenDistribution:
         if rule_index is None:
             uniform = math.log(1.0 / len(self.spec.vocabulary))
             return TokenDistribution(
                 entries={t: uniform for t in self.spec.vocabulary}, complete=True
             )
-        prior = self.rule_prior(rule_index)
-        subject_lower = self.rules_lower[rule_index][0]
-        asserted = self.asserted_answer(tuple(lines[:-1]), subject_lower)
-        beta = self.spec.beta
-        if asserted is None or beta == 0.0:
-            probs = prior
-        else:
-            probs = {t: (1.0 - beta) * p for t, p in prior.items()}
+        probs = self.rule_prior(rule_index)
+        if asserted is not None:
+            beta = self.spec.beta
+            probs = {t: (1.0 - beta) * p for t, p in probs.items()}
             probs[asserted] = probs.get(asserted, 0.0) + beta
         entries = {t: math.log(p) for t, p in probs.items() if p > 0}
         return TokenDistribution(entries=entries, complete=True)
 
 
 class ToyLM:
-    """Deterministic table-driven model implementing the backend interface."""
+    """Deterministic table-driven model implementing the backend interface.
+
+    Its caches fill on use: rule matches by query line, distributions by
+    (rule, asserted answer), and prompts to those shared distributions, so a
+    prompt costs a cache entry, not a table. They wrap _ToyTables methods,
+    not ToyLM's: a cache holding the ToyLM would form a reference cycle.
+    """
 
     first_token_convention = "whitespace"
 
     def __init__(self, spec: ToyLmSpec):
         self.spec = spec
         tables = _ToyTables(spec)
-        match_rule = lru_cache(maxsize=65536)(tables.match_rule)
-        self._dist_cached = lru_cache(maxsize=65536)(partial(tables.distribution, match_rule))
+        key = partial(tables.key, lru_cache(maxsize=65536)(tables.match_rule))
+        build = lru_cache(maxsize=65536)(tables.build)
+        self._dist_cached = lru_cache(maxsize=65536)(lambda prompt: build(*key(prompt)))
 
     def next_token_distribution(self, prompt: str) -> TokenDistribution:
         if not prompt or not prompt.strip():
@@ -345,7 +350,7 @@ class RemoteLM:
         self._session = session or requests.Session()
         self.first_token_convention = "endpoint-tokenizer"
 
-    def _post(self, payload: dict) -> dict:
+    def _post(self, payload: dict) -> object:
         headers = {}
         if self._auth_token:
             headers["Authorization"] = f"Bearer {self._auth_token}"
@@ -361,7 +366,10 @@ class RemoteLM:
                 logger.warning("model request attempt %d failed: %s", attempt, exc)
             else:
                 if response.status_code == 200:
-                    return response.json()
+                    try:
+                        return response.json()
+                    except ValueError as exc:  # an HTML gateway page, say
+                        raise BackendError(f"model sent no JSON: {exc}", attempts=attempt) from exc
                 last_status = response.status_code
                 if response.status_code not in (429,) and response.status_code < 500:
                     raise BackendError(
@@ -380,9 +388,9 @@ class RemoteLM:
             last_status=last_status,
         )
 
-    def _choice(self, body: dict) -> dict:
-        choices = body.get("choices")
-        if not choices:
+    def _choice(self, body: object) -> dict:
+        choices = body.get("choices") if isinstance(body, dict) else None
+        if not isinstance(choices, list) or not choices or not isinstance(choices[0], dict):
             raise BackendError("model response has no choices")
         return choices[0]
 

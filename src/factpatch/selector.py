@@ -45,25 +45,30 @@ def _jaccard(a: set[str], b: set[str]) -> float:
 
 def _trigram_counts(tokens: list[str]) -> Counter:
     joined = " ".join(tokens)
-    return Counter(joined[i : i + 3] for i in range(len(joined) - 2))
+    return Counter(map("".join, zip(joined, joined[1:], joined[2:])))
 
 
 def _cosine(a: Counter, b: Counter) -> float:
     if not a or not b:
         return 0.0
-    dot = sum(count * b[gram] for gram, count in a.items())
+    dot = sum(a[gram] * b[gram] for gram in a.keys() & b.keys())  # exact: counts are ints
     norm = sqrt(sum(c * c for c in a.values())) * sqrt(sum(c * c for c in b.values()))
     return dot / norm if norm else 0.0
 
 
-def extract_features(query: str, fact: EditFact) -> np.ndarray:
-    """Feature vector for one query/fact pair. Deterministic, finite, in [0, 1]."""
+def _query_side(query: str) -> tuple[list[str], set[str], str, Counter]:
+    """The query's half of every pair feature: tokens, token set, lowercase, trigrams."""
     if not query.strip():
         raise ValidationError("query must be non-empty")
     q_tokens = tokenize(query)
+    return q_tokens, set(q_tokens), query.lower(), _trigram_counts(q_tokens)
+
+
+def _pair_features(query_side: tuple, fact: EditFact) -> np.ndarray:
+    q_tokens, q_set, q_lower, q_grams = query_side
     s_tokens = tokenize(fact.surface_text)
-    q_set, s_set = set(q_tokens), set(s_tokens)
-    subject_hit = 1.0 if fact.subject.lower() in query.lower() else 0.0
+    s_set = set(s_tokens)
+    subject_hit = 1.0 if fact.subject.lower() in q_lower else 0.0
     relation_text = fact.relation.replace(SUBJECT_PLACEHOLDER, " ")
     r_set = set(tokenize(relation_text))
     if q_tokens and s_tokens:
@@ -74,12 +79,17 @@ def extract_features(query: str, fact: EditFact) -> np.ndarray:
         [
             _jaccard(q_set, s_set),
             subject_hit,
-            _cosine(_trigram_counts(q_tokens), _trigram_counts(s_tokens)),
+            _cosine(q_grams, _trigram_counts(s_tokens)),
             length_ratio,
             _jaccard(q_set, r_set),
         ],
         dtype=np.float64,
     )
+
+
+def extract_features(query: str, fact: EditFact) -> np.ndarray:
+    """Feature vector for one query/fact pair. Deterministic, finite, in [0, 1]."""
+    return _pair_features(_query_side(query), fact)
 
 
 @dataclass(frozen=True)
@@ -103,7 +113,12 @@ class ScorerParams:
         return cls(weights=np.zeros(n_features), bias=0.0)
 
     def probabilities(self, query: str, facts: Sequence[EditFact]) -> list[float]:
-        return [score(self, query, fact) for fact in facts]
+        """``score`` for each fact, with the query's side of the features built once."""
+        query_side = _query_side(query)
+        rows = [_pair_features(query_side, fact) for fact in facts]
+        if rows and rows[0].shape != self.weights.shape:
+            raise ValidationError(f"{N_FEATURES} features but {self.weights.size} weights")
+        return [float(sigmoid(row @ self.weights + self.bias)) for row in rows]
 
 
 def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
@@ -113,12 +128,7 @@ def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
 
 
 def score(params: ScorerParams, query: str, fact: EditFact) -> float:
-    features = extract_features(query, fact)
-    if features.shape != params.weights.shape:
-        raise ValidationError(
-            f"feature size {features.shape[0]} does not match weights {params.weights.shape[0]}"
-        )
-    return float(sigmoid(features @ params.weights + params.bias))
+    return params.probabilities(query, [fact])[0]
 
 
 @dataclass(frozen=True)

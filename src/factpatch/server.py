@@ -27,6 +27,10 @@ logger = logging.getLogger(__name__)
 MAX_BODY_BYTES = 10 * 1024 * 1024
 
 
+class _Rejected(Exception):
+    """A request the server refuses: the route answers 400 with this message."""
+
+
 class ApiServer(ThreadingHTTPServer):
     daemon_threads = True
 
@@ -53,22 +57,18 @@ class ApiHandler(BaseHTTPRequestHandler):
     def _send_error(self, status: int, message: str) -> None:
         self._send_json(status, {"error": message})
 
-    def _read_body(self) -> dict | list | None:
-        length_header = self.headers.get("Content-Length")
+    def _read_body(self) -> object:
+        """The parsed JSON body, which may be any JSON value, ``null`` included."""
         try:
-            length = int(length_header or "")
+            length = int(self.headers.get("Content-Length") or "")
         except ValueError:
-            self._send_error(400, "Content-Length header is required")
-            return None
+            raise _Rejected("Content-Length header is required") from None
         if length < 0 or length > MAX_BODY_BYTES:
-            self._send_error(400, f"body must be 0..{MAX_BODY_BYTES} bytes")
-            return None
-        raw = self.rfile.read(length)
+            raise _Rejected(f"body must be 0..{MAX_BODY_BYTES} bytes")
         try:
-            return json.loads(raw)
-        except json.JSONDecodeError as exc:
-            self._send_error(400, f"invalid JSON: {exc.msg}")
-            return None
+            return json.loads(self.rfile.read(length))
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise _Rejected(f"invalid JSON: {exc}") from None
 
     def do_GET(self) -> None:
         self._route({"/health": self._handle_health})
@@ -83,6 +83,8 @@ class ApiHandler(BaseHTTPRequestHandler):
             return
         try:
             handle()
+        except _Rejected as exc:
+            self._send_error(400, str(exc))
         except Exception as exc:
             logger.exception("%s %s failed", self.command, self.path)
             self._send_error(500, f"internal error: {exc}")
@@ -92,46 +94,36 @@ class ApiHandler(BaseHTTPRequestHandler):
 
     def _handle_edits(self) -> None:
         body = self._read_body()
-        if body is None:
-            return
         if isinstance(body, dict) and "facts" in body:
             payloads = body["facts"]
         elif isinstance(body, dict):
             payloads = [body]
         else:
-            self._send_error(400, "body must be a fact object or {\"facts\": [...]}")
-            return
+            raise _Rejected("body must be a fact object or {\"facts\": [...]}")
         if not isinstance(payloads, list) or not payloads:
-            self._send_error(400, "facts must be a non-empty list")
-            return
+            raise _Rejected("facts must be a non-empty list")
         engine = self.server.engine
         try:  # every fact is checked and embedded before the first is persisted
             prepared = [prepare_edit(p, engine.index.embedder) for p in payloads]
         except (FactPatchError, TypeError, AttributeError) as exc:
-            self._send_error(400, str(exc))
-            return
+            raise _Rejected(str(exc)) from exc
         added = [engine.add_fact(**payload).to_dict() for payload in prepared]
         self._send_json(200, {"added": added})
 
     def _handle_query(self) -> None:
         body = self._read_body()
-        if body is None:
-            return
         if not isinstance(body, dict) or not isinstance(body.get("query"), str):
-            self._send_error(400, "body must be an object with a string \"query\"")
-            return
+            raise _Rejected("body must be an object with a string \"query\"")
         overrides = {}
         for key, kinds in (("alpha", (int, float)), ("k", (int,)), ("mode", (str,))):
             if key in body:
                 if not isinstance(body[key], kinds) or isinstance(body[key], bool):
-                    self._send_error(400, f"{key} has the wrong type")
-                    return
+                    raise _Rejected(f"{key} has the wrong type")
                 overrides[key] = body[key]
         try:
             text, trace = self.server.engine.answer(body["query"], **overrides)
         except ValidationError as exc:
-            self._send_error(400, str(exc))
-            return
+            raise _Rejected(str(exc)) from exc
         except PipelineError as exc:
             if not isinstance(exc.cause, (BackendError, CapabilityError)):
                 raise

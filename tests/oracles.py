@@ -10,6 +10,11 @@ arithmetic, so a tie is a true tie and the documented tie order decides it.
 The contrastive scorer oracle is the per-candidate dict-and-loop form of
 ``decoding.adjusted_first_token``; the array scorer must reproduce its
 choice, candidate order and every float exactly.
+
+The toy-model oracle evaluates a spec anew for every prompt, in the
+arithmetic ToyLM has always used: blend probabilities first, then take one
+log per token, so the cached model must reproduce each entry bit for bit and
+in the same order.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from typing import Mapping
 import numpy as np
 
 from factpatch.decoding import CONTRAST_FULL, CandidateScore, DecodePlan, build_context
+from factpatch.lm import ToyLmSpec
 from factpatch.memory import EditFact, render_surface
 
 _WORDS = (
@@ -160,3 +166,45 @@ def loop_adjusted_first_token(
     ]
     candidates.sort(key=lambda c: (-c.adjusted, c.token))
     return candidates[0].token, context, candidates
+
+
+def reference_toy_distribution(spec: ToyLmSpec, prompt: str) -> dict[str, float]:
+    """Next-token log-probabilities of a toy spec, per the ``lm`` module docstring.
+
+    The query line is the last non-empty line; the first rule whose subject
+    and some keyword occur in it (case-insensitively) answers. Its table's
+    "*" mass is spread evenly over unlisted vocabulary tokens. The first
+    earlier line naming the subject and a vocabulary token asserts the last
+    such token, and the probabilities become (1 - beta) * prior + beta *
+    point mass. Zero-probability tokens are dropped; no match is uniform.
+    """
+    lines = [line for line in prompt.split("\n") if line.strip()]
+    query = lines[-1].lower()
+    rule = next(
+        (
+            r
+            for r in spec.rules
+            if r.subject.lower() in query and any(k.lower() in query for k in r.keywords)
+        ),
+        None,
+    )
+    if rule is None:
+        return {t: math.log(1.0 / len(spec.vocabulary)) for t in spec.vocabulary}
+    probs = {t: p for t, p in rule.answers.items() if t != "*" and p > 0}
+    unlisted = [t for t in spec.vocabulary if t not in rule.answers]
+    if rule.answers.get("*", 0.0) > 0:
+        for token in unlisted:
+            probs[token] = rule.answers["*"] / len(unlisted)
+    by_lower = {t.lower(): t for t in spec.vocabulary}
+    asserted = None
+    for line in lines[:-1]:
+        if rule.subject.lower() not in line.lower():
+            continue
+        named = [by_lower[w] for w in re.findall(r"[A-Za-z0-9]+", line.lower()) if w in by_lower]
+        if named:
+            asserted = named[-1]
+            break
+    if asserted is not None and spec.beta != 0.0:
+        probs = {t: (1.0 - spec.beta) * p for t, p in probs.items()}
+        probs[asserted] = probs.get(asserted, 0.0) + spec.beta
+    return {t: math.log(p) for t, p in probs.items() if p > 0}

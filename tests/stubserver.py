@@ -8,7 +8,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 
 class StubServer:
-    """Serves canned JSON. ``respond(path, body, hit_count) -> (status, payload)``.
+    """Serves canned JSON. ``respond(path, body, hit_count) -> (status, payload)``;
+    a ``bytes`` payload is sent as it is, so replies that are not JSON can be served too.
 
     Records every request as (path, body, headers). Use as a context manager;
     ``url`` points at the listening socket.
@@ -34,7 +35,7 @@ class StubServer:
                     hits = stub._hits
                     stub.requests.append((self.path, body, dict(self.headers)))
                 status, payload = stub.respond(self.path, body, hits)
-                data = json.dumps(payload).encode("utf-8")
+                data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))

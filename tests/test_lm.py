@@ -2,9 +2,12 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factpatch.errors import (
     BackendError,
@@ -25,6 +28,7 @@ from factpatch.lm import (
 )
 
 from conftest import capitals_spec
+from oracles import reference_toy_distribution
 from stubserver import StubServer
 
 
@@ -64,6 +68,25 @@ class TestTokenDistribution:
         half = math.log(0.5)
         dist = TokenDistribution(entries={"beta": half, "alpha": half}, complete=True)
         assert dist.argmax() == "alpha"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(
+            st.text(alphabet="abAB_", min_size=1, max_size=3),
+            st.sampled_from([0.0, -0.0, -1.0, -2.5]) | st.floats(-5.0, 0.0),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_argmax_is_the_smallest_token_of_highest_logprob(self, entries):
+        dist = TokenDistribution(entries=entries, complete=False)
+        want = min(entries.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+        assert dist.argmax() == want
+        assert dist.argmax() == want  # the second call reads the kept result
+
+    def test_argmax_treats_negative_zero_as_zero(self):
+        dist = TokenDistribution(entries={"b": 0.0, "a": -0.0, "c": -1.0}, complete=False)
+        assert dist.argmax() == "a"
 
 
 class TestToySpecValidation:
@@ -234,6 +257,109 @@ class TestToyLmAssertionBlend:
         assert math.exp(dist.entries["Rome"]) == pytest.approx(1 / 8, abs=1e-12)
 
 
+_WORDS = ("Paris", "Rome", "rome", "Lyon", "blue", "red", "amber", "x9")
+_SUBJECTS = ("France", "Italy", "sky")
+_KEYWORDS = ("capital", "color", "city")
+# Tiny masses, so that (1 - beta) * p can underflow to 0 for a listed token.
+_TINY = (5e-324, 1e-310)
+
+
+@st.composite
+def toy_rules(draw, vocabulary):
+    listed = draw(st.lists(st.sampled_from(vocabulary), min_size=1, unique=True))
+    weights = draw(st.lists(st.integers(0, 4), min_size=len(listed), max_size=len(listed)))
+    residual = len(listed) < len(vocabulary) and draw(st.booleans())
+    if residual:
+        weights.append(draw(st.integers(1, 4)))
+    if sum(weights) == 0:
+        weights[0] = 1
+    answers = {t: w / sum(weights) for t, w in zip(listed, weights)}
+    if residual:
+        answers["*"] = weights[-1] / sum(weights)
+    if draw(st.booleans()):  # move a tiny mass from the largest entry to the first token
+        token, tiny = listed[0], draw(st.sampled_from(_TINY))
+        largest = max(answers, key=answers.get)
+        if largest != token:
+            answers[token], answers[largest] = tiny, answers[largest] + answers[token] - tiny
+    keywords = draw(st.lists(st.sampled_from(_KEYWORDS), min_size=1, max_size=2, unique=True))
+    return ToyRule(subject=draw(st.sampled_from(_SUBJECTS)), keywords=tuple(keywords),
+                   answers=answers)
+
+
+@st.composite
+def toy_prompts(draw, spec):
+    """A prompt that mostly queries one of the spec's rules, after context lines that
+    mostly name that rule's subject and one or two vocabulary tokens."""
+    rule = draw(st.sampled_from(spec.rules)) if spec.rules and draw(st.integers(0, 5)) else None
+    if rule is None:
+        return draw(st.sampled_from(["tell me anything", "The capital of France\nis it"]))
+    subject = st.sampled_from([rule.subject] * 3 + [r.subject for r in spec.rules] + ["Spain"])
+    word = st.sampled_from(spec.vocabulary + ("nothing",))
+    shape = st.sampled_from(["The capital of {0} is {2}", "{0} swapped {1} for {2}", "{1} {2}"])
+    line = st.builds(lambda shape, *args: shape.format(*args), shape, subject, word, word)
+    context = draw(st.lists(line.map(str.upper) | line | st.just("  "), min_size=1, max_size=3))
+    keyword = draw(st.sampled_from(rule.keywords))
+    return "\n".join(context + [f"the {keyword} of {rule.subject} is"])
+
+
+@st.composite
+def toy_worlds(draw):
+    vocabulary = tuple(draw(st.lists(st.sampled_from(_WORDS), min_size=2, unique=True)))
+    rules = tuple(draw(st.lists(toy_rules(vocabulary), min_size=1, max_size=3)))
+    beta = draw(st.sampled_from([0.0, 1.0, 0.3, 0.6]) | st.floats(0.0, 1.0))
+    spec = ToyLmSpec(rules=rules, vocabulary=vocabulary, beta=beta)
+    return spec, draw(st.lists(toy_prompts(spec), min_size=1, max_size=8))
+
+
+def _bits(entries):
+    return [(token, logprob.hex()) for token, logprob in entries.items()]
+
+
+class TestToyLmMatchesReference:
+    @settings(max_examples=120, deadline=None)
+    @given(toy_worlds())
+    def test_every_entry_and_its_order_match_the_reference(self, world):
+        spec, prompts = world
+        lm = ToyLM(spec)
+        for prompt in prompts + prompts:  # the second pass reads the caches
+            want = reference_toy_distribution(spec, prompt)
+            assert _bits(lm.next_token_distribution(prompt).entries) == _bits(want)
+
+    def test_asserted_token_whose_blended_mass_underflows_keeps_its_place(self):
+        # 0.5 * 5e-324 rounds to 0, so only the point mass keeps Rome, ahead of Paris.
+        rule = ToyRule(subject="France", keywords=("capital",),
+                       answers={"Rome": 5e-324, "Lyon": 0.0, "Paris": 1.0})
+        spec = ToyLmSpec(rules=(rule,), vocabulary=("Paris", "Rome", "Lyon", "Nice"), beta=0.5)
+        lm = ToyLM(spec)
+        for asserted in ("Rome", "Nice", "Paris"):
+            prompt = f"The capital of France is {asserted}\nThe capital of France is"
+            got = lm.next_token_distribution(prompt).entries
+            assert _bits(got) == _bits(reference_toy_distribution(spec, prompt))
+        assert list(lm.next_token_distribution("France is Rome\nFrance capital").entries) == [
+            "Rome", "Paris"]
+
+    def test_prompts_with_one_key_share_one_distribution(self, capitals_lm):
+        dist = capitals_lm.next_token_distribution
+        first = dist("Rome is in the capital of France\nFrance capital?")
+        assert dist("The capital of France is Rome\ncapital, France") is first
+        assert dist("hello") is dist("hi")
+
+    def test_unmatched_prompts_cost_a_cache_entry_not_a_table(self):
+        vocabulary = tuple(f"tok{i}" for i in range(3200))
+        rule = ToyRule(subject="France", keywords=("capital",), answers={"tok0": 0.5, "*": 0.5})
+        lm = ToyLM(ToyLmSpec(rules=(rule,), vocabulary=vocabulary))
+        lm.next_token_distribution("an unrelated question")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(2000):
+                lm.next_token_distribution(f"unrelated question number {i}")
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held / 2000 < 2048, f"{held / 2000:.0f} bytes per cached prompt"
+
+
 class TestToyLmAnswers:
     def test_first_token_splits_on_whitespace(self, capitals_lm):
         assert capitals_lm.first_token_of("University of Michigan") == "University"
@@ -328,6 +454,20 @@ class TestRemoteLm:
         with StubServer(lambda p, b, h: (200, {"choices": []})) as stub:
             with pytest.raises(BackendError):
                 RemoteLM(stub.url, "m", retries=1).next_token_distribution("p")
+
+    @pytest.mark.parametrize(
+        "reply",
+        [b"<html>gateway</html>", [1, 2], "text", None, {"choices": [1]}, {"choices": {"0": {}}}],
+        ids=["html", "list", "string", "null", "choice-not-object", "choices-not-list"],
+    )
+    def test_reply_that_is_not_a_completion_is_backend_error(self, reply):
+        with StubServer(lambda p, b, h: (200, reply)) as stub:
+            lm = RemoteLM(stub.url, "m", retries=3, backoff=0.01)
+            with pytest.raises(BackendError):
+                lm.next_token_distribution("p")
+            assert len(stub.requests) == 1  # a malformed reply is not retried
+            assert lm.first_token_of("University of Michigan") == "University"
+            assert lm.first_token_convention == "whitespace"
 
     def test_retries_through_429(self):
         def respond(path, body, hits):

@@ -140,6 +140,36 @@ class TestScoring:
         with pytest.raises(ValidationError):
             ScorerParams(weights=np.array([np.nan] * N_FEATURES), bias=0.0)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.floats(-8, 8), min_size=N_FEATURES, max_size=N_FEATURES),
+        st.floats(-8, 8),
+        st.sampled_from(["Who leads Mexico?", "mexico LEADS", "Who rules Peru now", "??", "a"]),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["Mexico", "Peru", "New Mexico", "x"]),
+                st.sampled_from(["Who leads {s}", "{s} is ruled by", "The capital of {s} is"]),
+                st.sampled_from(["Benito", "Lima", "a b c"]),
+            ),
+            max_size=6,
+        ),
+    )
+    def test_probabilities_equal_per_pair_scores_bit_for_bit(self, weights, bias, query, rows):
+        params = ScorerParams(weights=np.array(weights), bias=bias)
+        facts = [make_fact(subject=s, relation=r, new_object=o, seq=i)
+                 for i, (s, r, o) in enumerate(rows)]
+        got = [p.hex() for p in params.probabilities(query, facts)]
+        assert got == [score(params, query, f).hex() for f in facts]
+        spelled_out = [sigmoid(extract_features(query, f) @ params.weights + params.bias)
+                       for f in facts]
+        assert got == [float(p).hex() for p in spelled_out]
+
+    def test_probabilities_reject_wrong_weight_size(self):
+        params = ScorerParams(weights=np.zeros(3), bias=0.0)
+        assert params.probabilities("q", []) == []
+        with pytest.raises(ValidationError):
+            params.probabilities("q", [make_fact()])
+
 
 class TestSelect:
     def test_exact_threshold_is_not_selected(self):

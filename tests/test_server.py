@@ -1,6 +1,7 @@
 """HTTP endpoint behavior over a real loopback socket."""
 
 import contextlib
+import http.client
 import json
 import logging
 import socket
@@ -165,6 +166,34 @@ class TestEdits:
         assert len(engine.store) == 0
 
 
+class TestBodies:
+    @pytest.mark.parametrize("route", ["/edits", "/query"])
+    @pytest.mark.parametrize(
+        "body", [b"null", b"\x80{}", b"", b"7"], ids=["null", "not-utf8", "empty", "number"]
+    )
+    def test_body_that_is_not_a_request_object_is_400(self, served, tmp_path, route, body):
+        url, engine = served
+        reply = requests.post(f"{url}{route}", data=body, timeout=3,
+                              headers={"Content-Type": "application/json"})
+        assert reply.status_code == 400
+        assert "error" in reply.json()
+        assert len(engine.store) == 0
+        memory = tmp_path / "facts.jsonl"
+        assert not memory.exists() or not memory.read_bytes()
+
+    def test_missing_content_length_is_400(self, served):
+        url, _ = served
+        conn = http.client.HTTPConnection(url[len("http://"):], timeout=3)
+        try:
+            conn.putrequest("POST", "/query")
+            conn.endheaders()
+            reply = conn.getresponse()
+            assert reply.status == 400
+            assert "Content-Length" in json.loads(reply.read())["error"]
+        finally:
+            conn.close()
+
+
 class TestQuery:
     def test_edited_answer_end_to_end(self, served):
         url, _ = served
@@ -274,17 +303,22 @@ class TestQuery:
         assert reply.status_code == 400
         assert "error" in reply.json()
 
-    @pytest.mark.parametrize("endpoint", ["unreachable", "no-logprobs"])
+    @pytest.mark.parametrize(
+        "endpoint", ["unreachable", "no-logprobs", "not-json", "not-an-object"]
+    )
     def test_model_endpoint_failure_is_502(self, tmp_path, endpoint):
+        replies = {
+            "no-logprobs": {"choices": [{"text": "x"}]},
+            "not-json": b"<html>gateway</html>",
+            "not-an-object": ["choices"],
+        }
         with contextlib.ExitStack() as stack:
             if endpoint == "unreachable":
                 with socket.socket() as sock:  # a port nothing listens on
                     sock.bind(("127.0.0.1", 0))
                     model_url = "http://127.0.0.1:%d" % sock.getsockname()[1]
             else:
-                stub = stack.enter_context(
-                    StubServer(lambda p, b, h: (200, {"choices": [{"text": "x"}]}))
-                )
+                stub = stack.enter_context(StubServer(lambda p, b, h: (200, replies[endpoint])))
                 model_url = stub.url
             lm = RemoteLM(model_url, "m", retries=1, timeout=5)
             url = stack.enter_context(serving(make_engine(tmp_path / "facts.jsonl", lm=lm)))
