@@ -124,7 +124,7 @@ def prepare_edit(record: dict, embedder: HashedEmbedder) -> dict:
     """Validate an edit payload and embed its surface text: run it on a whole
     batch before the first append, and a bad fact leaves the store untouched."""
     payload = payload_from_dict(record)
-    embedder.embed(payload["surface_text"])
+    embedder.embed_uncached(payload["surface_text"])
     return payload
 
 
@@ -167,13 +167,13 @@ class Engine:
         # Embedding first keeps a fact the index would reject out of the store.
         if surface_text is None:
             surface_text = render_surface(subject, relation, new_object)
-        self.index.embedder.embed(surface_text)
+        vector = self.index.embedder.embed_uncached(surface_text)
         with self._write_lock:
             fact = self.store.append(
                 subject, relation, new_object,
                 old_object=old_object, surface_text=surface_text,
             )
-            self.index.add(fact)
+            self.index.add(fact, vector)
         return fact
 
     def add_case_fact(self, case) -> EditFact:
@@ -217,7 +217,7 @@ def build_engine(config: EngineConfig, *, in_memory: bool = False) -> Engine:
     store = FactStore(None if in_memory else config.memory_path)
     index = FactIndex(HashedEmbedder(buckets=config.embedder_buckets))
     for fact in store.snapshot():
-        index.add(fact)
+        index.add(fact, index.embedder.embed_uncached(fact.surface_text))
     if config.selector_params_path:
         scorer = load_params(config.selector_params_path)
     else:

@@ -406,12 +406,15 @@ class RemoteLM:
             }
         )
         choice = self._choice(body)
-        logprobs = (choice.get("logprobs") or {}).get("top_logprobs")
-        if not logprobs or not isinstance(logprobs[0], dict) or not logprobs[0]:
-            raise CapabilityError("model endpoint did not return token log-probabilities")
-        entries = {str(token): min(0.0, float(lp)) for token, lp in logprobs[0].items()}
-        ordered = dict(sorted(entries.items(), key=lambda kv: (-kv[1], kv[0])))
-        return TokenDistribution(entries=ordered, complete=False)
+        try:
+            logprobs = (choice.get("logprobs") or {}).get("top_logprobs")
+            if not logprobs or not isinstance(logprobs[0], dict) or not logprobs[0]:
+                raise CapabilityError("model endpoint did not return token log-probabilities")
+            entries = {str(token): min(0.0, float(lp)) for token, lp in logprobs[0].items()}
+            ordered = dict(sorted(entries.items(), key=lambda kv: (-kv[1], kv[0])))
+            return TokenDistribution(entries=ordered, complete=False)
+        except (AttributeError, KeyError, TypeError, ValueError, ValidationError) as exc:
+            raise BackendError(f"model sent malformed log-probabilities: {exc!r}") from exc
 
     def first_token_of(self, answer: str) -> str:
         if not answer.strip():

@@ -29,6 +29,9 @@ from .memory import EditFact
 
 DEFAULT_BUCKETS = 4096
 
+# Queries repeat within a few hundred distinct texts; a miss costs one embedding.
+_CACHED_QUERIES = 1024
+
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
@@ -77,12 +80,17 @@ class HashedEmbedder:
         if buckets < 1:
             raise ValidationError("buckets must be >= 1")
         self.buckets = buckets
-        # Same text always hashes to the same vector, so memoize. A cache over a
-        # bound method would hold the embedder in a cycle; this one does not.
-        self._embed_cached = lru_cache(maxsize=65536)(partial(_embed, buckets))
+        # A cache over a bound method would hold the embedder in a cycle; this
+        # one does not.
+        self._embed_cached = lru_cache(maxsize=_CACHED_QUERIES)(partial(_embed, buckets))
 
     def embed(self, text: str) -> SparseVector:
+        """The memoised vector, for query texts, which repeat."""
         return self._embed_cached(text)
+
+    def embed_uncached(self, text: str) -> SparseVector:
+        """For a fact's text, embedded once, when the fact is added."""
+        return _embed(self.buckets, text)
 
 
 @dataclass(frozen=True)
@@ -126,8 +134,7 @@ class FactIndex:
         with self._lock:
             return len(self._row_of)
 
-    def add(self, fact: EditFact) -> None:
-        vector = self.embedder.embed(fact.surface_text)
+    def add(self, fact: EditFact, vector: SparseVector) -> None:
         with self._lock:
             row = len(self._facts)
             self._facts.append(fact)

@@ -42,9 +42,19 @@ class ApiServer(ThreadingHTTPServer):
 class ApiHandler(BaseHTTPRequestHandler):
     server: ApiServer
     protocol_version = "HTTP/1.1"
+    # Writes are buffered and flushed once per request, so a reply leaves in one
+    # send; TCP_NODELAY keeps a larger reply's last piece off the delayed ACK too.
+    wbufsize = 1 << 16
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args) -> None:
         logger.debug("%s - %s", self.address_string(), format % args)
+
+    def handle_expect_100(self) -> bool:
+        # The client holds the body back until this interim reply arrives.
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
 
     def _send_json(self, status: int, payload: dict) -> None:
         body = json.dumps(payload).encode("utf-8")

@@ -50,6 +50,11 @@ def capitals_spec(beta: float = 0.6) -> ToyLmSpec:
     )
 
 
+def add_to_index(index, fact) -> None:
+    """Index a fact as Engine.add_fact does: embedded once, then added."""
+    index.add(fact, index.embedder.embed_uncached(fact.surface_text))
+
+
 @pytest.fixture
 def capitals_lm() -> ToyLM:
     return ToyLM(capitals_spec())

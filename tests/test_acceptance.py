@@ -32,6 +32,7 @@ from factpatch.selector import (
 )
 from factpatch.server import make_server
 
+from conftest import add_to_index
 from fixture_cases import SUBJECT_GATE, eight_case_world, fixture_engine
 from oracles import brute_force_top_ids, random_facts
 from synthworld import build_world
@@ -183,7 +184,7 @@ def test_criterion_03_retrieval_matches_brute_force():
     facts = random_facts(1000, seed=0, dup_rate=0.05)
     index = FactIndex(HashedEmbedder(buckets=buckets))
     for fact in facts:
-        index.add(fact)
+        add_to_index(index, fact)
     rng = np.random.default_rng(1)
     queries = []
     for _ in range(100):

@@ -19,7 +19,7 @@ from factpatch import decoding, engine, evalharness, memory, selector
 from factpatch.lm import ToyLM, save_toy_spec
 from factpatch.retrieval import FactIndex, HashedEmbedder
 
-from conftest import capitals_spec
+from conftest import add_to_index, capitals_spec
 from fixture_cases import SUBJECT_GATE, eight_case_world
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -63,7 +63,8 @@ def test_span_attributes_read_what_the_pipeline_passes(spans, monkeypatch):
                             recording(name, getattr(decoding, attribute)))
     store = memory.FactStore()
     index = FactIndex(HashedEmbedder(buckets=256))
-    index.add(store.append("France", "The capital of {s} is", "Rome", old_object="Paris"))
+    add_to_index(index, store.append("France", "The capital of {s} is", "Rome",
+                                     old_object="Paris"))
     lm = ToyLM(capitals_spec())
     query = "The capital of France is"
     result = decoding.answer(lm, index, SUBJECT_GATE, query)

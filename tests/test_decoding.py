@@ -22,7 +22,7 @@ from factpatch.memory import EditFact, FactStore, render_surface
 from factpatch.retrieval import FactIndex, HashedEmbedder
 from factpatch.selector import ScorerParams
 
-from conftest import capitals_spec
+from conftest import add_to_index, capitals_spec
 from oracles import loop_adjusted_first_token
 
 INSTR = "Use the statements above when answering the question below."
@@ -385,7 +385,7 @@ class TestArrayScorerMatchesLoopReference:
 def build_pipeline(lm, facts):
     index = FactIndex(HashedEmbedder(buckets=256))
     for fact in facts:
-        index.add(fact)
+        add_to_index(index, fact)
     return index
 
 

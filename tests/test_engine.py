@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from factpatch import retrieval
 from factpatch.decoding import CONTRAST_FULL, TARGET_SUPPRESS
 from factpatch.engine import (
     DEFAULT_K,
@@ -15,6 +16,7 @@ from factpatch.engine import (
 )
 from factpatch.errors import ConfigError, FactPatchError, StorageError
 from factpatch.lm import RemoteLM, ToyLM, save_toy_spec
+from factpatch.memory import FactStore
 from factpatch.retrieval import DEFAULT_BUCKETS, HashedEmbedder
 from factpatch.selector import ScorerParams, save_params
 
@@ -205,6 +207,17 @@ class TestBuildEngine:
         assert text.startswith("Rome")
         assert not trace.fallback_used
 
+    def test_loading_stored_facts_leaves_the_query_memo_empty(self, tmp_path, spec_path):
+        memory = tmp_path / "facts.jsonl"
+        store = FactStore(memory)
+        for i in range(50):
+            store.append(f"Subject{i}", "The capital of {s} is", f"City{i}")
+        engine = build_engine(toy_config(spec_path, memory_path=str(memory)))
+        assert len(engine.index) == 50
+        assert engine.index.embedder._embed_cached.cache_info().currsize == 0
+        top = engine.index.top_k("The capital of Subject7 is City7", 1)
+        assert top[0].fact.subject == "Subject7"
+
     def test_in_memory_ignores_the_fact_file(self, tmp_path, spec_path):
         memory = tmp_path / "facts.jsonl"
         config = toy_config(spec_path, memory_path=str(memory))
@@ -255,3 +268,12 @@ class TestEngineAnswer:
         engine.add_fact("Italy", "The capital of {s} is", "Lyon")
         assert len(engine.store) == 2
         assert len(engine.index) == 2
+
+    def test_add_fact_embeds_the_fact_once(self, engine, monkeypatch):
+        embedded = []
+        original = retrieval._embed
+        monkeypatch.setattr(retrieval, "_embed",
+                            lambda buckets, text: embedded.append(text) or original(buckets, text))
+        engine.add_fact("Italy", "The capital of {s} is", "Lyon")
+        assert embedded == ["The capital of Italy is Lyon"]
+        assert engine.index.embedder._embed_cached.cache_info().currsize == 0

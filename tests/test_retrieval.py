@@ -3,6 +3,7 @@
 import gc
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -14,6 +15,7 @@ from factpatch.errors import ValidationError
 from factpatch.memory import EditFact, render_surface
 from factpatch.retrieval import FactIndex, HashedEmbedder, tokenize
 
+from conftest import add_to_index
 from oracles import brute_force_top_ids, oracle_dot, oracle_embed, random_facts
 
 
@@ -115,6 +117,26 @@ class TestHashedEmbedder:
         with pytest.raises(ValidationError):
             HashedEmbedder(buckets=0)
 
+    def test_distinct_texts_retain_a_bounded_memo(self):
+        texts = [f"What is the colour of subject {i} in the garden" for i in range(5000)]
+        for text in texts:  # fills the shared, separately bounded feature-hash cache
+            HashedEmbedder().embed(text)
+        e = HashedEmbedder()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for text in texts:
+                e.embed(text)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 1_500_000, f"5000 distinct texts retain {held} bytes"
+
+    def test_uncached_vectors_equal_the_memoised_ones(self):
+        e = HashedEmbedder(buckets=512)
+        text = "The color of Mercury is amber"
+        assert e.embed_uncached(text) == e.embed(text)
+
     def test_discarded_embedder_is_freed_without_the_cycle_collector(self):
         e = HashedEmbedder(buckets=64)
         e.embed("amber falcon")
@@ -142,7 +164,7 @@ class TestFactIndex:
         index = FactIndex(HashedEmbedder())
         facts = [fact(i, f"Subject{i}", new_object=f"obj{i}") for i in range(10)]
         for f in facts:
-            index.add(f)
+            add_to_index(index, f)
         for f in facts:
             top = index.top_k(f.surface_text, 1)
             assert top[0].fact.fact_id == f.fact_id
@@ -151,7 +173,7 @@ class TestFactIndex:
     def test_readding_same_fact_id_replaces(self):
         index = FactIndex(HashedEmbedder())
         first = fact(0, "Mercury")
-        index.add(first)
+        add_to_index(index, first)
         revised = EditFact(
             fact_id=first.fact_id,
             seq=0,
@@ -161,14 +183,14 @@ class TestFactIndex:
             new_object="jade",
             surface_text="The color of Mercury is jade",
         )
-        index.add(revised)
+        add_to_index(index, revised)
         assert len(index) == 1
         assert index.top_k("color of Mercury", 1)[0].fact.new_object == "jade"
 
     def test_scores_are_descending(self):
         index = FactIndex(HashedEmbedder())
         for f in random_facts(40, seed=3):
-            index.add(f)
+            add_to_index(index, f)
         scores = [sf.score for sf in index.top_k("the quartz heron of the marsh", 10)]
         assert scores == sorted(scores, reverse=True)
 
@@ -178,7 +200,7 @@ class TestFactIndex:
         a = fact(0, "Mercury", surface="identical surface text here")
         b = fact(1, "Venus", surface="identical surface text here")
         for f in [a, b]:
-            index.add(f)
+            add_to_index(index, f)
         top = index.top_k("identical surface text here", 2)
         assert [sf.fact.seq for sf in top] == [1, 0]
 
@@ -192,7 +214,7 @@ class TestFactIndex:
         a = EditFact(fact_id="f-bbb", **shared)
         b = EditFact(fact_id="f-aaa", **{**shared, "subject": "Venus"})
         for f in [a, b]:
-            index.add(f)
+            add_to_index(index, f)
         top = index.top_k("identical surface text here", 2)
         assert [sf.fact.fact_id for sf in top] == ["f-aaa", "f-bbb"]
 
@@ -202,7 +224,7 @@ class TestFactIndex:
         new = fact(1, "Mercury", new_object="jade")
         other = fact(2, "Venus", new_object="plum")
         for f in [old, new, other]:
-            index.add(f)
+            add_to_index(index, f)
         top = index.top_k("The color of Mercury is amber", 2)
         ids = [sf.fact.fact_id for sf in top]
         assert old.fact_id not in ids
@@ -212,7 +234,7 @@ class TestFactIndex:
     def test_prefix_property(self):
         index = FactIndex(HashedEmbedder(buckets=512))
         for f in random_facts(60, seed=9, dup_rate=0.2):
-            index.add(f)
+            add_to_index(index, f)
         query = "People link the copper falcon with the harbor"
         previous: list[str] = []
         for k in range(1, 12):
@@ -223,7 +245,7 @@ class TestFactIndex:
     def test_k_larger_than_survivors_returns_all(self):
         index = FactIndex(HashedEmbedder())
         for f in [fact(0, "Mercury"), fact(1, "Mercury"), fact(2, "Venus")]:
-            index.add(f)
+            add_to_index(index, f)
         top = index.top_k("color", 50)
         assert len(top) == 2  # one Mercury version superseded
 
@@ -232,7 +254,7 @@ class TestFactIndex:
         facts = random_facts(120, seed=21, dup_rate=0.15)
         index = FactIndex(HashedEmbedder(buckets=buckets))
         for f in facts:
-            index.add(f)
+            add_to_index(index, f)
         queries = [
             "Which ember belongs to Maple Crest",
             "the onyx of the lagoon is frost",
@@ -250,7 +272,7 @@ class TestFactIndex:
         # once put the older fact first.
         index = FactIndex(HashedEmbedder(buckets=512))
         for f in random_facts(1000, seed=0, dup_rate=0.05):
-            index.add(f)
+            add_to_index(index, f)
         raven = [sf.fact.seq for sf in index.top_k("Raven Bramble The", 5)]
         assert raven[4] == 916
         onyx = [sf.fact.seq for sf in index.top_k("0420 Onyx Lichen maple Onyx", 5)]
@@ -291,7 +313,7 @@ def test_interleaved_adds_and_queries_match_the_oracle(ops):
                 old_object=None, new_object=new_object,
                 surface_text=render_surface(subject, relation, new_object),
             )
-            index.add(added)
+            add_to_index(index, added)
             live[added.fact_id] = added
         else:
             _, query, k = op
@@ -316,7 +338,8 @@ def test_concurrent_adds_and_queries_lose_nothing():
                 errors.append(exc)
         return threading.Thread(target=run)
 
-    writers = [guarded(lambda i=i: [index.add(f) for f in facts[i::4]]) for i in range(4)]
+    writers = [guarded(lambda i=i: [add_to_index(index, f) for f in facts[i::4]])
+               for i in range(4)]
     readers = [guarded(lambda: [index.top_k(query, 5) for _ in range(150)]) for _ in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)

@@ -5,7 +5,9 @@ import http.client
 import json
 import logging
 import socket
+import statistics
 import threading
+import time
 
 import pytest
 import requests
@@ -13,12 +15,12 @@ import requests
 import factpatch
 from factpatch.engine import Engine
 from factpatch.decoding import DecodePlan
-from factpatch.lm import RemoteLM, ToyLM
+from factpatch.lm import RemoteLM, ToyLM, ToyLmSpec
 from factpatch.memory import FactStore
 from factpatch.retrieval import FactIndex, HashedEmbedder
 from factpatch.server import make_server
 
-from conftest import capitals_spec
+from conftest import CAPITALS_VOCAB, capitals_spec
 from fixture_cases import SUBJECT_GATE
 from stubserver import StubServer
 
@@ -63,6 +65,14 @@ FACT = {
     "relation": "The capital of {s} is",
     "new_object": "Rome",
     "old_object": "Paris",
+}
+
+# Completions whose log-probability fields have the wrong shape.
+MALFORMED = {
+    "logprobs-list": {"choices": [{"logprobs": [1]}]},
+    "top-logprobs-object": {"choices": [{"logprobs": {"top_logprobs": {"Paris": -0.1}}}]},
+    "not-a-number": {"choices": [{"logprobs": {"top_logprobs": [{"Paris": "high"}]}}]},
+    "minus-infinity": {"choices": [{"logprobs": {"top_logprobs": [{"Paris": float("-inf")}]}}]},
 }
 
 
@@ -193,6 +203,26 @@ class TestBodies:
         finally:
             conn.close()
 
+    def test_continue_arrives_before_the_body_is_sent(self, served):
+        url, _ = served
+        host, port = url[len("http://"):].split(":")
+        body = json.dumps({"query": "What color is the sky"}).encode()
+        head = (f"POST /query HTTP/1.1\r\nHost: {host}\r\nContent-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\nExpect: 100-continue\r\n\r\n").encode()
+        with socket.create_connection((host, int(port)), timeout=1) as sock:
+            sock.sendall(head)
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                chunk = sock.recv(1024)  # socket.timeout if the interim reply sits in a buffer
+                assert chunk, "the server closed the connection"
+                interim += chunk
+            assert interim.startswith(b"HTTP/1.1 100")
+            sock.sendall(body)
+            reply = http.client.HTTPResponse(sock)
+            reply.begin()
+            assert reply.status == 200
+            assert json.loads(reply.read())["answer"] == "blue"
+
 
 class TestQuery:
     def test_edited_answer_end_to_end(self, served):
@@ -304,13 +334,14 @@ class TestQuery:
         assert "error" in reply.json()
 
     @pytest.mark.parametrize(
-        "endpoint", ["unreachable", "no-logprobs", "not-json", "not-an-object"]
+        "endpoint", ["unreachable", "no-logprobs", "not-json", "not-an-object", *MALFORMED]
     )
     def test_model_endpoint_failure_is_502(self, tmp_path, endpoint):
         replies = {
             "no-logprobs": {"choices": [{"text": "x"}]},
             "not-json": b"<html>gateway</html>",
             "not-an-object": ["choices"],
+            **MALFORMED,
         }
         with contextlib.ExitStack() as stack:
             if endpoint == "unreachable":
@@ -324,6 +355,18 @@ class TestQuery:
             url = stack.enter_context(serving(make_engine(tmp_path / "facts.jsonl", lm=lm)))
             reply = requests.post(f"{url}/query", json={"query": "What color is the sky"},
                                   timeout=10)
+        assert reply.status_code == 502
+        assert reply.json()["error"].startswith("decode: ")
+
+    @pytest.mark.parametrize("shape", MALFORMED)
+    def test_malformed_completion_on_the_edited_path_is_502(self, tmp_path, shape):
+        with StubServer(lambda p, b, h: (200, MALFORMED[shape])) as stub:
+            engine = make_engine(tmp_path / "facts.jsonl",
+                                 lm=RemoteLM(stub.url, "m", retries=1, timeout=5))
+            engine.add_fact(**FACT)
+            with serving(engine) as url:
+                reply = requests.post(f"{url}/query", json={"query": "The capital of France is"},
+                                      timeout=10)
         assert reply.status_code == 502
         assert reply.json()["error"].startswith("decode: ")
 
@@ -362,3 +405,43 @@ class TestQuery:
         for t in threads:
             t.join()
         assert results == ["Rome of course"] * 8
+
+
+def median_round_trip_ms(send, n: int = 10) -> float:
+    times = []
+    for _ in range(n):
+        start = time.perf_counter()
+        reply = send()
+        times.append((time.perf_counter() - start) * 1e3)
+        assert reply.status_code == 200
+    return statistics.median(times)
+
+
+class TestLatency:
+    """A reply sent in two pieces on a keep-alive connection waits ~40 ms for
+    the client's delayed ACK; these bounds sit well below that stall."""
+
+    def test_keep_alive_round_trips_do_not_wait_for_a_delayed_ack(self, served):
+        url, _ = served
+        with requests.Session() as session:
+            assert session.post(f"{url}/edits", json=FACT, timeout=5).status_code == 200
+            health = median_round_trip_ms(lambda: session.get(f"{url}/health", timeout=5))
+            query = median_round_trip_ms(lambda: session.post(
+                f"{url}/query", json={"query": "The capital of France is"}, timeout=5))
+        assert health < 20, f"GET /health took {health:.1f} ms"
+        assert query < 20, f"POST /query took {query:.1f} ms"
+
+    def test_reply_larger_than_the_write_buffer_does_not_wait_either(self, tmp_path):
+        vocabulary = tuple(CAPITALS_VOCAB) + tuple(f"tok{i}" for i in range(1000))
+        spec = ToyLmSpec(rules=capitals_spec().rules, vocabulary=vocabulary,
+                         continuations=capitals_spec().continuations)
+        engine = make_engine(tmp_path / "facts.jsonl", lm=ToyLM(spec))
+        engine.add_fact(**FACT)
+        query = {"query": "The capital of France is", "trace": True}
+        with serving(engine) as url, requests.Session() as session:
+            reply = session.post(f"{url}/query", json=query, timeout=5)
+            assert len(reply.content) > 1 << 16
+            assert reply.json()["answer"] == "Rome of course"
+            took = median_round_trip_ms(lambda: session.post(f"{url}/query", json=query,
+                                                             timeout=5))
+        assert took < 20, f"a {len(reply.content)}-byte trace reply took {took:.1f} ms"
