@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .engine import EngineConfig, build_engine, load_config, prepare_edit, read_config
+from .engine import EngineConfig, build_engine, load_config, read_config
 from .errors import ConfigError, FactPatchError
 from .evalharness import (
     load_cases,
@@ -26,8 +26,7 @@ from .evalharness import (
     sweep,
 )
 from .files import read_records
-from .memory import FactStore
-from .retrieval import HashedEmbedder
+from .memory import FactStore, payload_from_dict
 from .selector import (
     bce_loss,
     build_training_pairs,
@@ -81,20 +80,19 @@ def _cmd_edit(args: argparse.Namespace) -> int:
     if not memory_path:
         raise ConfigError("edit needs a memory path (--memory or memory_path in --config)")
     store = FactStore(memory_path)
-    embedder = HashedEmbedder()
     if args.import_path:
-        # Every line is validated and embedded before the first append.
-        payloads = read_records(args.import_path, lambda record, _: prepare_edit(record, embedder))
+        # Every line is validated before the first append.
+        payloads = read_records(args.import_path, lambda record, _: payload_from_dict(record))
         for payload in payloads:
             store.append(**payload)
         print(f"imported {len(payloads)} facts into {memory_path}")
         return 0
     if not (args.subject and args.relation and args.new_object):
         raise ConfigError("edit needs --subject, --relation and --new-object (or --import)")
-    fact = store.append(**prepare_edit({
+    fact = store.append(**payload_from_dict({
         "subject": args.subject, "relation": args.relation, "new_object": args.new_object,
         "old_object": args.old_object, "surface_text": args.surface,
-    }, embedder))
+    }))
     print(f"added {fact.fact_id} (seq {fact.seq})")
     return 0
 
@@ -152,7 +150,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         return 0
 
     engine = build_engine(config, in_memory=True)
-    checkpoints = _parse_checkpoints(args.checkpoints, len(cases)) if args.checkpoints else None
+    checkpoints = _parse_checkpoints(args.checkpoints) if args.checkpoints else None
     report = run_sequential(engine, cases, checkpoints=checkpoints)
     print(f"cases       {report.cases}")
     print(f"reliability {_fmt(report.reliability)}")
@@ -172,16 +170,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_checkpoints(raw: str, n_cases: int) -> list[int]:
+def _parse_checkpoints(raw: str) -> list[int]:
     try:
         points = [int(part) for part in raw.split(",") if part.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --checkpoints value: {raw!r}") from exc
     if not points:
         raise ConfigError("--checkpoints is empty")
-    for p in points:
-        if not 1 <= p <= n_cases:
-            raise ConfigError(f"checkpoint {p} outside 1..{n_cases}")
     return points
 
 

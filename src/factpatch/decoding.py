@@ -281,32 +281,22 @@ def answer(
             raise PipelineError("selection", exc) from exc
         selected = [d.fact for d in decisions if d.selected]
 
+    context, candidates = "", []
     if not selected:
         try:
             text = greedy_answer(lm, query, plan.max_answer_tokens)
         except Exception as exc:
             raise PipelineError("decode", exc) from exc
-        trace = DecodeTrace(
-            query=query,
-            context="",
-            selected_fact_ids=[],
-            alpha=plan.alpha,
-            mode=plan.mode,
-            first_token_convention=lm.first_token_convention,
-            fallback_used=True,
-            candidates=[],
-            chosen_first_token=lm.first_token_of(text),
-            final_answer=text,
-        )
-        return text, trace
-
-    try:
-        chosen, context, candidates = adjusted_first_token(lm, selected, query, plan)
-        text = lm.greedy_continue(context, chosen, plan.max_answer_tokens)
-    except ValidationError:
-        raise
-    except Exception as exc:
-        raise PipelineError("decode", exc) from exc
+        chosen = lm.first_token_of(text)
+    else:
+        try:
+            chosen, context, candidates = adjusted_first_token(lm, selected, query, plan)
+            text = lm.greedy_continue(context, chosen, plan.max_answer_tokens)
+        except ValidationError:
+            raise
+        except Exception as exc:
+            raise PipelineError("decode", exc) from exc
+    # Read only now: the fallback's first_token_of call sets the convention.
     trace = DecodeTrace(
         query=query,
         context=context,
@@ -314,7 +304,7 @@ def answer(
         alpha=plan.alpha,
         mode=plan.mode,
         first_token_convention=lm.first_token_convention,
-        fallback_used=False,
+        fallback_used=not selected,
         candidates=candidates,
         chosen_first_token=chosen,
         final_answer=text,

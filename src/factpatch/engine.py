@@ -21,7 +21,7 @@ from .decoding import (
 from .errors import ConfigError, ParseError
 from .files import read_object
 from .lm import RemoteLM, ToyLM, load_toy_spec
-from .memory import EditFact, FactStore, payload_from_dict, render_surface
+from .memory import EditFact, FactStore, render_surface
 from .retrieval import DEFAULT_BUCKETS, FactIndex, HashedEmbedder
 from .selector import DEFAULT_THRESHOLD, ScorerParams, load_params
 
@@ -120,14 +120,6 @@ def load_config(path: str | os.PathLike[str] | None = None, **overrides) -> Engi
         raise ConfigError(f"bad config value: {exc}") from exc
 
 
-def prepare_edit(record: dict, embedder: HashedEmbedder) -> dict:
-    """Validate an edit payload and embed its surface text: run it on a whole
-    batch before the first append, and a bad fact leaves the store untouched."""
-    payload = payload_from_dict(record)
-    embedder.embed_uncached(payload["surface_text"])
-    return payload
-
-
 class Engine:
     """Edited model: memory plus retrieval plus selection plus decoding.
 
@@ -164,7 +156,6 @@ class Engine:
         old_object: str | None = None,
         surface_text: str | None = None,
     ) -> EditFact:
-        # Embedding first keeps a fact the index would reject out of the store.
         if surface_text is None:
             surface_text = render_surface(subject, relation, new_object)
         vector = self.index.embedder.embed_uncached(surface_text)

@@ -414,15 +414,18 @@ def _case_from_zsre(record: dict, default_id: str) -> EvalCase:
     )
 
 
+def _query_and_relation(prompt: str, subject: str) -> tuple[str, str]:
+    """A ``{}`` prompt rendered as the query text and as a ``{s}`` relation."""
+    if "{}" in prompt:
+        return prompt.replace("{}", subject), prompt.replace("{}", "{s}")
+    return prompt, prompt.replace(subject, "{s}")
+
+
 def _case_from_counterfact(record: dict, default_id: str) -> EvalCase:
     """Best effort for counterfact-style records: prompt / target_new / target_true."""
     flat = record.get("requested_rewrite", record)
     subject = flat["subject"]
-    prompt = flat["prompt"]
-    rendered = prompt.replace("{}", subject) if "{}" in prompt else prompt
-    relation = prompt.replace("{}", "{s}") if "{}" in prompt else (
-        prompt.replace(subject, "{s}") if subject in prompt else prompt
-    )
+    rendered, relation = _query_and_relation(flat["prompt"], subject)
     new_object = _cf_target(flat, "target_new")
     old_object = _cf_target(flat, "target_true") or _cf_target(flat, "ground_truth")
     gen = tuple(
@@ -453,11 +456,7 @@ def _case_from_counterfact(record: dict, default_id: str) -> EvalCase:
 def _case_from_ripe(record: dict, default_id: str) -> EvalCase:
     """Best effort for ripple-style records; unmapped probe classes are dropped."""
     subject = record["subject"]
-    prompt = record["prompt"]
-    rendered = prompt.replace("{}", subject) if "{}" in prompt else prompt
-    relation = prompt.replace("{}", "{s}") if "{}" in prompt else (
-        prompt.replace(subject, "{s}") if subject in prompt else prompt
-    )
+    rendered, relation = _query_and_relation(record["prompt"], subject)
     new_object = record["target_new"]
     gen = []
     for item in _as_list(record.get("paraphrase")):

@@ -1,13 +1,16 @@
-"""Append-only memory of edited facts.
+"""Append-only memory of edited facts, and the one judge of fact validity.
 
 Each edit is a subject / relation / object triple plus a rendered natural
-language ``surface_text``. The store hands out immutable snapshots so the
-retrieval and evaluation layers can work against a fixed view while edits
-keep arriving.
+language ``surface_text`` that must hold an ASCII letter or digit, so that
+retrieval can embed it. The store assigns dense seqs and unique fact ids, so
+the index receives facts in increasing seq. It hands out immutable snapshots
+so the retrieval and evaluation layers can work against a fixed view while
+edits keep arriving.
 
 File format: one JSON object per line (JSONL), UTF-8, fields
 ``fact_id, seq, subject, relation, old_object, new_object, surface_text``.
-Appends write single fsynced lines; a torn final line makes ``load_facts`` raise.
+Appends write single fsynced lines; a torn final line, a repeated fact id or
+seqs that are not dense make ``load_facts`` raise.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import threading
 from dataclasses import dataclass
 from typing import Iterator
@@ -25,6 +29,13 @@ from .files import read_records
 SUBJECT_PLACEHOLDER = "{s}"
 
 _FIELDS = ("fact_id", "seq", "subject", "relation", "old_object", "new_object", "surface_text")
+
+_TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+
+def tokenize(text: str) -> list[str]:
+    """Lowercase and split on non-alphanumerics, dropping empty pieces."""
+    return _TOKEN_RE.findall(text.lower())
 
 
 def render_prompt(subject: str, relation: str) -> str:
@@ -60,6 +71,8 @@ class EditFact:
             value = getattr(self, name)
             if not isinstance(value, str) or not value.strip():
                 raise ValidationError(f"EditFact.{name} must be a non-empty string")
+        if not _TOKEN_RE.search(self.surface_text.lower()):  # tokenize() would find nothing
+            raise ValidationError("EditFact.surface_text has no alphanumeric content to embed")
         old = self.old_object
         if old is not None and not (isinstance(old, str) and old.strip()):
             raise ValidationError("EditFact.old_object must be None or a non-empty string")
@@ -177,6 +190,8 @@ def load_facts(path: str | os.PathLike[str]) -> FactSet:
     seqs = [f.seq for f in facts]
     if sorted(seqs) != list(range(len(facts))):
         raise ParseError("seq values are not a dense 0..N-1 range", path=path)
+    if len({f.fact_id for f in facts}) != len(facts):
+        raise ParseError("a fact_id appears more than once", path=path)
     facts.sort(key=lambda f: f.seq)
     return FactSet(facts=tuple(facts))
 
@@ -193,10 +208,11 @@ def payload_from_dict(record: dict) -> dict:
         "old_object": record.get("old_object"),
         "surface_text": record.get("surface_text"),
     }
-    surface = "rendered" if payload["surface_text"] is None else payload["surface_text"]
-    EditFact(fact_id="payload", seq=0, **{**payload, "surface_text": surface})
     if payload["surface_text"] is None:
+        # The fields' types are checked before they are rendered.
+        EditFact(fact_id="payload", seq=0, **{**payload, "surface_text": "rendered"})
         payload["surface_text"] = render_surface(
             payload["subject"], payload["relation"], payload["new_object"]
         )
+    EditFact(fact_id="payload", seq=0, **payload)
     return payload

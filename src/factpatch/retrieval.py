@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import re
 import threading
 from array import array
 from collections import Counter, defaultdict
@@ -25,20 +24,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .memory import EditFact
+from .memory import EditFact, tokenize
 
 DEFAULT_BUCKETS = 4096
 
 # Queries repeat within a few hundred distinct texts; a miss costs one embedding.
 _CACHED_QUERIES = 1024
-
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
-
-
-def tokenize(text: str) -> list[str]:
-    """Lowercase and split on non-alphanumerics, dropping empty pieces."""
-    return _TOKEN_RE.findall(text.lower())
-
 
 # Trigrams and words repeat across texts, so most lookups hit, and cached texts
 # share the returned ints. Keyed on plain values, it holds no embedder alive.
@@ -99,81 +90,49 @@ class ScoredFact:
     score: float
 
 
-def _shortlist(rows: np.ndarray, keys: np.ndarray, k: int, slack: float) -> np.ndarray:
-    """The rows whose key is at least the k-th largest, less ``slack`` of it."""
-    if len(rows) <= k:
-        return rows
-    kth = np.partition(keys, len(rows) - k)[len(rows) - k]
-    return rows[keys >= kth - abs(kth) * slack]
-
-
 class FactIndex:
     """Exact cosine index over sparse fact vectors, on append-only postings.
 
-    ``add`` appends a row to the postings of its buckets; re-adding a fact_id
-    retires its old row. A row is eligible when it is live and holds the
-    highest seq of its (subject, relation) key (latest wins). ``top_k`` ranks
-    eligible rows by cosine d / sqrt(n) (dot product d, squared norm n),
-    compared exactly as d²/n, then by newer seq, then by smaller fact_id;
-    rows with d = 0 rank by the last two alone. The order is total, so
-    ``top_k(q, k)`` is a prefix of ``top_k(q, k + 1)``.
+    Facts arrive in increasing seq, as the store assigns it, so rows are in
+    seq order. ``add`` appends a row to the postings of its buckets and makes
+    it the one eligible row of its (subject, relation) key (latest wins).
+    ``top_k`` ranks eligible rows by cosine d / sqrt(n) (dot product d,
+    squared norm n), compared exactly as d²/n, then by newer row; rows with
+    d = 0 rank by row alone. The order is total, so ``top_k(q, k)`` is a
+    prefix of ``top_k(q, k + 1)``.
     """
 
     def __init__(self, embedder: HashedEmbedder):
         self.embedder = embedder
         self._lock = threading.Lock()
-        self._facts: list[EditFact] = []  # by row, retired rows included
-        self._row_of: dict[str, int] = {}  # fact_id -> its live row
-        self._seqs = array("q")
+        self._facts: list[EditFact] = []  # by row
         self._norm2 = array("q")
         self._eligible = bytearray()
-        self._top: dict[tuple[str, str], list[int]] = {}  # key -> its eligible rows
+        self._newest: dict[tuple[str, str], int] = {}  # key -> its eligible row
         self._postings = defaultdict(lambda: (array("i"), array("i")))  # bucket -> rows, counts
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._row_of)
+            return len(self._facts)
 
     def add(self, fact: EditFact, vector: SparseVector) -> None:
         with self._lock:
+            if self._facts and fact.seq <= self._facts[-1].seq:
+                raise ValidationError(
+                    f"fact seq {fact.seq} is not above the last indexed seq {self._facts[-1].seq}"
+                )
             row = len(self._facts)
             self._facts.append(fact)
-            self._seqs.append(fact.seq)
             self._norm2.append(vector.norm2)
-            self._eligible.append(0)
+            self._eligible.append(1)
             for bucket, count in zip(vector.ids, vector.counts):
                 rows, counts = self._postings[bucket]
                 rows.append(row)
                 counts.append(count)
-            old = self._row_of.pop(fact.fact_id, None)
-            if old is not None:
-                self._retire(old)
-            self._row_of[fact.fact_id] = row
-            self._promote(row)
-
-    def _promote(self, row: int) -> None:
-        fact = self._facts[row]
-        top = self._top.setdefault((fact.subject, fact.relation), [])
-        newest = self._facts[top[0]].seq if top else -1
-        if fact.seq < newest:
-            return  # superseded on arrival
-        if fact.seq > newest:
-            for previous in top:
+            previous = self._newest.get((fact.subject, fact.relation))
+            if previous is not None:
                 self._eligible[previous] = 0
-            top.clear()
-        top.append(row)
-        self._eligible[row] = 1
-
-    def _retire(self, row: int) -> None:
-        key = (self._facts[row].subject, self._facts[row].relation)
-        if self._eligible[row]:
-            self._eligible[row] = 0
-            self._top[key].remove(row)
-        if not self._top[key]:
-            # Its next newest live rows take over; only a re-added fact_id pays this scan.
-            for live in self._row_of.values():
-                if (self._facts[live].subject, self._facts[live].relation) == key:
-                    self._promote(live)
+            self._newest[(fact.subject, fact.relation)] = row
 
     def top_k(self, query: str, k: int) -> list[ScoredFact]:
         if k < 1:
@@ -195,16 +154,16 @@ class FactIndex:
             # Integer sums in float64 are exact below 2**53.
             hit = np.flatnonzero(eligible & (dots > 0))
             scores = dots[hit] / np.sqrt(np.frombuffer(self._norm2, np.int64)[hit] * vector.norm2)
-            # Float scores only shortlist; the sort below is exact.
-            rows = _shortlist(hit, scores, k, 1e-9)
+            # Float scores only shortlist, with slack for rounding; the sort below is exact.
+            rows = hit
+            if len(hit) > k:
+                kth = np.partition(scores, len(hit) - k)[len(hit) - k]
+                rows = hit[scores >= kth - kth * 1e-9]
             if len(rows) < k:
                 zero = np.flatnonzero(eligible & (dots == 0))
-                seqs = np.frombuffer(self._seqs, np.int64)[zero]
-                rows = np.concatenate([rows, _shortlist(zero, seqs, k - len(rows), 0.0)])
-            ranked = sorted(rows.tolist(), key=lambda r: (
-                -Fraction(int(dots[r]) ** 2, self._norm2[r]),
-                -self._seqs[r],
-                self._facts[r].fact_id,
-            ))[:k]
+                rows = np.concatenate([rows, zero[len(rows) - k:]])  # the newest ones
+            ranked = sorted(
+                rows.tolist(), key=lambda r: (-Fraction(int(dots[r]) ** 2, self._norm2[r]), -r)
+            )[:k]
             norms = [math.sqrt(self._norm2[r] * vector.norm2) for r in ranked]
             return [ScoredFact(self._facts[r], float(dots[r]) / n) for r, n in zip(ranked, norms)]

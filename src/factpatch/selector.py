@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .files import read_object, write_json
-from .memory import SUBJECT_PLACEHOLDER, EditFact
-from .retrieval import ScoredFact, tokenize
+from .memory import SUBJECT_PLACEHOLDER, EditFact, tokenize
+from .retrieval import ScoredFact
 
 logger = logging.getLogger(__name__)
 

@@ -19,8 +19,9 @@ import logging
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from . import __version__
-from .engine import Engine, prepare_edit
+from .engine import Engine
 from .errors import BackendError, CapabilityError, FactPatchError, PipelineError, ValidationError
+from .memory import payload_from_dict
 
 logger = logging.getLogger(__name__)
 
@@ -112,12 +113,11 @@ class ApiHandler(BaseHTTPRequestHandler):
             raise _Rejected("body must be a fact object or {\"facts\": [...]}")
         if not isinstance(payloads, list) or not payloads:
             raise _Rejected("facts must be a non-empty list")
-        engine = self.server.engine
-        try:  # every fact is checked and embedded before the first is persisted
-            prepared = [prepare_edit(p, engine.index.embedder) for p in payloads]
+        try:  # every fact is checked before the first is persisted
+            prepared = [payload_from_dict(p) for p in payloads]
         except (FactPatchError, TypeError, AttributeError) as exc:
             raise _Rejected(str(exc)) from exc
-        added = [engine.add_fact(**payload).to_dict() for payload in prepared]
+        added = [self.server.engine.add_fact(**payload).to_dict() for payload in prepared]
         self._send_json(200, {"added": added})
 
     def _handle_query(self) -> None:

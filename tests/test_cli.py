@@ -193,7 +193,7 @@ class TestEdit:
         imports.write_text(
             json.dumps({"subject": "Spain", "relation": CAPITAL_REL, "new_object": "Lyon"})
             + "\n"
-            + json.dumps({"subject": "?", "relation": "{s}", "new_object": "!"})
+            + json.dumps({"subject": "日本", "relation": "{s}", "new_object": "！"})
             + "\n",
             encoding="utf-8",
         )
@@ -280,6 +280,20 @@ class TestAsk:
         data = json.loads(trace_path.read_text(encoding="utf-8"))
         assert data["fallback_used"] is True
         assert data["selected_fact_ids"] == []
+
+    @pytest.mark.parametrize("bad,where", [
+        ({"subject": "Italy"}, ""),  # the fact_id repeats
+        ({"fact_id": "f000001-x", "surface_text": "？！"}, ":2"),
+    ], ids=["repeated-fact-id", "no-alphanumerics"])
+    def test_memory_the_engine_cannot_load_exits_2_naming_the_file(
+        self, capsys, ask_config, memory_path, bad, where
+    ):
+        first = json.loads(Path(memory_path).read_text(encoding="utf-8"))
+        with open(memory_path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({**first, "seq": 1, **bad}) + "\n")
+        code, _, err = run(capsys, ["ask", "The capital of France is", "--config", ask_config])
+        assert code == 2
+        assert err.startswith(f"error: {memory_path}{where}: ")
 
     def test_missing_spec_exits_2(self, capsys, tmp_path):
         config = write_config(tmp_path, lm={"kind": "toy"})

@@ -17,13 +17,14 @@ from factpatch.decoding import (
     build_context,
 )
 from factpatch.errors import PipelineError, ValidationError
-from factpatch.lm import ToyLM, ToyLmSpec, ToyRule, TokenDistribution, greedy_answer
+from factpatch.lm import RemoteLM, ToyLM, ToyLmSpec, ToyRule, TokenDistribution, greedy_answer
 from factpatch.memory import EditFact, FactStore, render_surface
 from factpatch.retrieval import FactIndex, HashedEmbedder
 from factpatch.selector import ScorerParams
 
 from conftest import add_to_index, capitals_spec
 from oracles import loop_adjusted_first_token
+from stubserver import StubServer
 
 INSTR = "Use the statements above when answering the question below."
 
@@ -407,6 +408,23 @@ class TestAnswerPipeline:
         assert trace.mode == CONTRAST_FULL
         assert trace.first_token_convention == "whitespace"
         assert trace.context.startswith("The capital of France is Rome\n")
+
+    def test_fallback_trace_records_the_convention_of_its_own_first_token(self):
+        query = "The capital of France is"
+
+        def respond(path, body, hits):  # an endpoint that cannot echo
+            if body.get("echo"):
+                return 400, {"error": "echo is not supported"}
+            table = {" Paris": -0.1, "\n": -3.0} if body["prompt"] == query else {"\n": -0.1}
+            return 200, {"choices": [{"logprobs": {"top_logprobs": [table]}}]}
+
+        with StubServer(respond) as stub:
+            lm = RemoteLM(stub.url, "m", retries=1)
+            index = FactIndex(HashedEmbedder(buckets=64))
+            text, trace = answer(lm, index, ScorerParams.untrained(), query)
+        assert (text, trace.chosen_first_token) == ("Paris", "Paris")
+        assert trace.fallback_used
+        assert trace.first_token_convention == "whitespace"
 
     def test_fallback_is_byte_identical_to_unedited_answer(self, capitals_lm):
         store = FactStore()

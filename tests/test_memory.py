@@ -99,6 +99,11 @@ class TestAppend:
         with pytest.raises(ValidationError):
             EditFact(**record)
 
+    @pytest.mark.parametrize("surface", ["???", "日本 ！"])
+    def test_surface_without_ascii_letters_or_digits_rejected(self, surface):
+        with pytest.raises(ValidationError, match="alphanumeric"):
+            EditFact(**{**make_fact(0).to_dict(), "surface_text": surface})
+
 
 class TestSnapshot:
     def test_snapshot_is_immune_to_later_appends(self, empty_store):
@@ -178,6 +183,24 @@ class TestPersistence:
         with pytest.raises(ParseError):
             load_facts(path)
 
+    def test_repeated_fact_id_rejected(self, tmp_path):
+        path = tmp_path / "dup.jsonl"
+        first = make_fact(0).to_dict()
+        lines = [json.dumps(first), json.dumps({**first, "seq": 1, "subject": "Venus"})]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="fact_id") as err:
+            load_facts(path)
+        assert err.value.path == str(path)
+
+    def test_unembeddable_surface_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        lines = [json.dumps(make_fact(0).to_dict()),
+                 json.dumps({**make_fact(1).to_dict(), "surface_text": "？！"})]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="alphanumeric") as err:
+            load_facts(path)
+        assert err.value.line == 2
+
     def test_load_sorts_by_seq(self, tmp_path):
         path = tmp_path / "shuffled.jsonl"
         lines = [json.dumps(make_fact(s, subject=f"S{s}").to_dict()) for s in (1, 0)]
@@ -223,6 +246,7 @@ class TestPayloads:
 
     @pytest.mark.parametrize("override", [
         {"subject": ""}, {"relation": 5}, {"old_object": 5}, {"surface_text": ""},
+        {"subject": "日本", "relation": "{s}", "new_object": "！"},  # renders "日本 ！"
     ])
     def test_payload_is_checked_as_the_fact_it_becomes(self, override):
         record = {"subject": "Mercury", "relation": "The color of {s} is", "new_object": "amber"}

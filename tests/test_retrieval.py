@@ -170,23 +170,6 @@ class TestFactIndex:
             assert top[0].fact.fact_id == f.fact_id
             assert top[0].score == pytest.approx(1.0, abs=1e-5)
 
-    def test_readding_same_fact_id_replaces(self):
-        index = FactIndex(HashedEmbedder())
-        first = fact(0, "Mercury")
-        add_to_index(index, first)
-        revised = EditFact(
-            fact_id=first.fact_id,
-            seq=0,
-            subject="Mercury",
-            relation="The color of {s} is",
-            old_object=None,
-            new_object="jade",
-            surface_text="The color of Mercury is jade",
-        )
-        add_to_index(index, revised)
-        assert len(index) == 1
-        assert index.top_k("color of Mercury", 1)[0].fact.new_object == "jade"
-
     def test_scores_are_descending(self):
         index = FactIndex(HashedEmbedder())
         for f in random_facts(40, seed=3):
@@ -204,19 +187,14 @@ class TestFactIndex:
         top = index.top_k("identical surface text here", 2)
         assert [sf.fact.seq for sf in top] == [1, 0]
 
-    def test_score_and_seq_ties_prefer_smaller_fact_id(self):
-        index = FactIndex(HashedEmbedder())
-        shared = dict(
-            seq=0, subject="Mercury", relation="The color of {s} is",
-            old_object=None, new_object="amber",
-            surface_text="identical surface text here",
-        )
-        a = EditFact(fact_id="f-bbb", **shared)
-        b = EditFact(fact_id="f-aaa", **{**shared, "subject": "Venus"})
-        for f in [a, b]:
-            add_to_index(index, f)
-        top = index.top_k("identical surface text here", 2)
-        assert [sf.fact.fact_id for sf in top] == ["f-aaa", "f-bbb"]
+    @pytest.mark.parametrize("seq", [2, 1])
+    def test_seq_not_above_the_last_is_rejected(self, seq):
+        index = FactIndex(HashedEmbedder(buckets=64))
+        add_to_index(index, fact(2, "Mercury"))
+        with pytest.raises(ValidationError, match="not above"):
+            add_to_index(index, fact(seq, "Venus"))
+        assert len(index) == 1
+        assert [sf.fact.subject for sf in index.top_k("color of Venus", 5)] == ["Mercury"]
 
     def test_superseded_key_is_dropped_and_rank_refilled(self):
         index = FactIndex(HashedEmbedder())
@@ -286,8 +264,7 @@ _QUERY_WORDS = ("mercury", "venus", "mars", "color", "moon", "amber", "jade", "p
 
 _ADD = st.tuples(
     st.just("add"),
-    st.integers(0, 5),  # fact_id: a repeat re-adds, replacing the entry
-    st.integers(0, 6),  # seq: repeats and decreases are allowed
+    st.integers(1, 3),  # seq step: facts arrive in increasing seq, as the store assigns it
     st.sampled_from(_SUBJECTS),
     st.sampled_from(_RELATIONS),
     st.sampled_from(_OBJECTS),
@@ -304,22 +281,23 @@ _QUERY = st.tuples(
 def test_interleaved_adds_and_queries_match_the_oracle(ops):
     # 32 buckets force collisions, so exact score ties are common.
     index = FactIndex(HashedEmbedder(buckets=32))
-    live: dict[str, EditFact] = {}
+    added: list[EditFact] = []
+    seq = -1
     for op in ops:
         if op[0] == "add":
-            _, n, seq, subject, relation, new_object = op
-            added = EditFact(
-                fact_id=f"f{n}", seq=seq, subject=subject, relation=relation,
+            _, step, subject, relation, new_object = op
+            seq += step
+            added.append(EditFact(
+                fact_id=f"f{seq}", seq=seq, subject=subject, relation=relation,
                 old_object=None, new_object=new_object,
                 surface_text=render_surface(subject, relation, new_object),
-            )
-            add_to_index(index, added)
-            live[added.fact_id] = added
+            ))
+            add_to_index(index, added[-1])
         else:
             _, query, k = op
             got = [sf.fact.fact_id for sf in index.top_k(query, k)]
-            assert got == brute_force_top_ids(list(live.values()), query, k, 32)
-    assert len(index) == len(live)
+            assert got == brute_force_top_ids(added, query, k, 32)
+    assert len(index) == len(added)
 
 
 def test_concurrent_adds_and_queries_lose_nothing():
@@ -338,8 +316,19 @@ def test_concurrent_adds_and_queries_lose_nothing():
                 errors.append(exc)
         return threading.Thread(target=run)
 
-    writers = [guarded(lambda i=i: [add_to_index(index, f) for f in facts[i::4]])
-               for i in range(4)]
+    # Writers take one lock, as Engine.add_fact does, so seqs arrive in order.
+    pending = iter(facts)
+    write_lock = threading.Lock()
+
+    def write():
+        while True:
+            with write_lock:
+                f = next(pending, None)
+                if f is None:
+                    return
+                add_to_index(index, f)
+
+    writers = [guarded(write) for _ in range(4)]
     readers = [guarded(lambda: [index.top_k(query, 5) for _ in range(150)]) for _ in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)

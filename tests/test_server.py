@@ -13,9 +13,9 @@ import pytest
 import requests
 
 import factpatch
-from factpatch.engine import Engine
+from factpatch.engine import Engine, EngineConfig, build_engine
 from factpatch.decoding import DecodePlan
-from factpatch.lm import RemoteLM, ToyLM, ToyLmSpec
+from factpatch.lm import RemoteLM, ToyLM, ToyLmSpec, save_toy_spec
 from factpatch.memory import FactStore
 from factpatch.retrieval import FactIndex, HashedEmbedder
 from factpatch.server import make_server
@@ -129,7 +129,8 @@ class TestEdits:
     @pytest.mark.parametrize("body", [
         dict(FACT, subject="Italy", surface_text="???"),
         {"facts": [dict(FACT, subject="Italy"), dict(FACT, subject="Spain", surface_text="???")]},
-    ], ids=["single", "bulk"])
+        {"subject": "日本", "relation": "{s}", "new_object": "！"},  # renders "日本 ！"
+    ], ids=["single", "bulk", "rendered"])
     def test_fact_that_cannot_be_embedded_is_400_and_persists_nothing(
         self, served, tmp_path, body
     ):
@@ -142,6 +143,21 @@ class TestEdits:
         assert (tmp_path / "facts.jsonl").read_bytes() == before
         assert len(engine.store) == 1
         assert len(engine.index) == 1
+
+    def test_each_fact_is_embedded_once(self, served, monkeypatch):
+        url, engine = served
+        embedder = engine.index.embedder
+        texts = []
+
+        def counting(text):
+            texts.append(text)
+            return type(embedder).embed_uncached(embedder, text)
+
+        monkeypatch.setattr(embedder, "embed_uncached", counting)
+        second = dict(FACT, subject="Italy", new_object="Lyon")
+        reply = requests.post(f"{url}/edits", json={"facts": [FACT, second]}, timeout=5)
+        assert reply.status_code == 200
+        assert texts == ["The capital of France is Rome", "The capital of Italy is Lyon"]
 
     def test_empty_facts_list_rejected(self, served):
         url, _ = served
@@ -405,6 +421,53 @@ class TestQuery:
         for t in threads:
             t.join()
         assert results == ["Rome of course"] * 8
+
+    def test_concurrent_edits_keep_the_index_in_step(self, tmp_path, monkeypatch):
+        # Only Engine's write lock makes seqs reach the index in increasing
+        # order; an add that arrived out of order would be a 500 here.
+        save_toy_spec(capitals_spec(), tmp_path / "spec.json")
+        config = EngineConfig(
+            memory_path=str(tmp_path / "facts.jsonl"),
+            lm_spec_path=str(tmp_path / "spec.json"),
+            embedder_buckets=256,
+        )
+        engine = build_engine(config)
+        add = engine.index.add
+
+        def slow_add(fact, vector):
+            time.sleep(5e-3)  # another writer gets here first unless the write lock is held
+            add(fact, vector)
+
+        monkeypatch.setattr(engine.index, "add", slow_add)
+        statuses: list[int] = []
+        queries = ["The capital of France is", "The capital of Italy is", "capital of Spain"]
+
+        def edit(i):
+            with requests.Session() as session:
+                for j in range(6):  # keys repeat across threads, so re-edits interleave
+                    fact = dict(FACT, subject=("France", "Italy", "Spain")[j % 3],
+                                new_object=CAPITALS_VOCAB[(i + j) % 4])
+                    statuses.append(session.post(f"{url}/edits", json=fact, timeout=10).status_code)
+
+        def ask():
+            with requests.Session() as session:
+                for j in range(15):
+                    reply = session.post(f"{url}/query", json={"query": queries[j % 3]}, timeout=10)
+                    statuses.append(reply.status_code)
+
+        with serving(engine) as url:
+            threads = [threading.Thread(target=edit, args=(i,)) for i in range(8)]
+            threads += [threading.Thread(target=ask) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert statuses == [200] * (8 * 6 + 2 * 15)
+        assert len(engine.store) == len(engine.index) == 48
+        reloaded = build_engine(config)
+        for query in queries:
+            assert reloaded.index.top_k(query, 8) == engine.index.top_k(query, 8)
 
 
 def median_round_trip_ms(send, n: int = 10) -> float:
